@@ -5,11 +5,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sj_core::workload::{generate, GeometryKind, Placement, WorkloadSpec};
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::{Geometry, Rect, ThetaOp};
-use sj_joins::grid::{grid_join, GridConfig};
-use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::sort_merge::zorder_overlap_join;
-use sj_joins::tree_join::tree_join;
-use sj_joins::{JoinIndex, StoredRelation, TreeRelation};
+use sj_joins::grid::{try_grid_join, GridConfig};
+use sj_joins::nested_loop::try_nested_loop_join;
+use sj_joins::sort_merge::try_zorder_overlap_join;
+use sj_joins::tree_join::try_tree_join;
+use sj_joins::{JoinIndex, JoinRequest, StoredRelation, TraceSink, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 use sj_zorder::ZGrid;
 use std::hint::black_box;
@@ -38,6 +38,7 @@ fn bench_join_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("join_strategies_overlaps");
     group.sample_size(10);
     let theta = ThetaOp::Overlaps;
+    let req = JoinRequest::new(theta);
     for &n in &[500usize, 2_000] {
         let r_tuples = workload(n, 1, 0);
         let s_tuples = workload(n, 2, 1_000_000);
@@ -46,7 +47,11 @@ fn bench_join_strategies(c: &mut Criterion) {
             let mut p = pool();
             let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
             let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
-            b.iter(|| black_box(nested_loop_join(&mut p, &r, &s, theta).pairs.len()));
+            b.iter(|| {
+                let run = try_nested_loop_join(&mut p, &r, &s, &req)
+                    .expect("in-memory disk cannot fault");
+                black_box(run.pairs.len())
+            });
         });
 
         group.bench_with_input(BenchmarkId::new("II_tree_join", n), &n, |b, _| {
@@ -67,15 +72,25 @@ fn bench_join_strategies(c: &mut Criterion) {
                 300,
                 Layout::Clustered,
             );
-            b.iter(|| black_box(tree_join(&mut p, &tr, &ts, theta).pairs.len()));
+            b.iter(|| {
+                let run =
+                    try_tree_join(&mut p, &tr, &ts, &req).expect("in-memory disk cannot fault");
+                black_box(run.pairs.len())
+            });
         });
 
         group.bench_with_input(BenchmarkId::new("III_join_index_query", n), &n, |b, _| {
             let mut p = pool();
             let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
             let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
-            let (idx, _) = JoinIndex::build(&mut p, &r, &s, theta, 100);
-            b.iter(|| black_box(idx.join(&mut p, &r, &s).pairs.len()));
+            let (idx, _) = JoinIndex::try_build(&mut p, &r, &s, theta, 100)
+                .expect("in-memory disk cannot fault");
+            b.iter(|| {
+                let run = idx
+                    .try_join(&mut p, &r, &s, &mut TraceSink::Null)
+                    .expect("in-memory disk cannot fault");
+                black_box(run.pairs.len())
+            });
         });
 
         group.bench_with_input(BenchmarkId::new("zorder_sort_merge", n), &n, |b, _| {
@@ -84,11 +99,9 @@ fn bench_join_strategies(c: &mut Criterion) {
             let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
             let grid = ZGrid::new(Rect::from_bounds(0.0, 0.0, WORLD, WORLD), 7);
             b.iter(|| {
-                black_box(
-                    zorder_overlap_join(&mut p, &r, &s, &grid, theta)
-                        .pairs
-                        .len(),
-                )
+                let run = try_zorder_overlap_join(&mut p, &r, &s, &grid, &req)
+                    .expect("in-memory disk cannot fault");
+                black_box(run.pairs.len())
             });
         });
 
@@ -101,7 +114,11 @@ fn bench_join_strategies(c: &mut Criterion) {
                 nx: 32,
                 ny: 32,
             };
-            b.iter(|| black_box(grid_join(&mut p, &r, &s, cfg, theta).pairs.len()));
+            b.iter(|| {
+                let run =
+                    try_grid_join(&mut p, &r, &s, cfg, &req).expect("in-memory disk cannot fault");
+                black_box(run.pairs.len())
+            });
         });
     }
     group.finish();
@@ -118,7 +135,8 @@ fn bench_join_index_build(c: &mut Criterion) {
             let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
             let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
             b.iter(|| {
-                let (idx, _) = JoinIndex::build(&mut p, &r, &s, ThetaOp::Overlaps, 100);
+                let (idx, _) = JoinIndex::try_build(&mut p, &r, &s, ThetaOp::Overlaps, 100)
+                    .expect("in-memory disk cannot fault");
                 black_box(idx.len())
             });
         });

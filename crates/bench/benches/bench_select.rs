@@ -6,8 +6,8 @@ use sj_core::workload::{generate, GeometryKind, Placement, WorkloadSpec};
 use sj_gentree::knn::nearest_k;
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::{Geometry, Point, Rect, ThetaOp};
-use sj_joins::nested_loop::exhaustive_select;
-use sj_joins::tree_join::{tree_select, TraversalOrder};
+use sj_joins::nested_loop::try_exhaustive_select;
+use sj_joins::tree_join::{try_tree_select, TraversalOrder};
 use sj_joins::{StoredRelation, TreeRelation, ZIndex};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 use sj_zorder::ZGrid;
@@ -36,11 +36,9 @@ fn bench_select_strategies(c: &mut Criterion) {
             let mut p = BufferPool::new(Disk::new(DiskConfig::paper()), 10_000);
             let rel = StoredRelation::build(&mut p, &tuples, 300, Layout::Clustered);
             b.iter(|| {
-                black_box(
-                    exhaustive_select(&mut p, &rel, &window, theta)
-                        .matches
-                        .len(),
-                )
+                let run = try_exhaustive_select(&mut p, &rel, &window, theta)
+                    .expect("in-memory disk cannot fault");
+                black_box(run.matches.len())
             });
         });
 
@@ -55,24 +53,29 @@ fn bench_select_strategies(c: &mut Criterion) {
                 Layout::Clustered,
             );
             b.iter(|| {
-                black_box(
-                    tree_select(&mut p, &tr, &window, theta, TraversalOrder::BreadthFirst)
-                        .matches
-                        .len(),
-                )
+                let run =
+                    try_tree_select(&mut p, &tr, &window, theta, TraversalOrder::BreadthFirst)
+                        .expect("in-memory disk cannot fault");
+                black_box(run.matches.len())
             });
         });
 
         group.bench_with_input(BenchmarkId::new("zvalue_index", n), &n, |b, _| {
             let mut p = BufferPool::new(Disk::new(DiskConfig::paper()), 10_000);
             let rel = StoredRelation::build(&mut p, &tuples, 300, Layout::Clustered);
-            let idx = ZIndex::build(
+            let idx = ZIndex::try_build(
                 &mut p,
                 &rel,
                 ZGrid::new(Rect::from_bounds(0.0, 0.0, WORLD, WORLD), 8),
                 100,
-            );
-            b.iter(|| black_box(idx.select(&mut p, &rel, &window, theta).matches.len()));
+            )
+            .expect("in-memory disk cannot fault");
+            b.iter(|| {
+                let run = idx
+                    .try_select(&mut p, &rel, &window, theta)
+                    .expect("in-memory disk cannot fault");
+                black_box(run.matches.len())
+            });
         });
     }
     group.finish();

@@ -11,7 +11,7 @@
 use sj_gentree::balanced::build_balanced;
 use sj_geom::{Geometry, Point, Rect, ThetaOp};
 use sj_joins::paged_tree::ClusterOrder;
-use sj_joins::tree_join::{tree_select, TraversalOrder};
+use sj_joins::tree_join::{try_tree_select, TraversalOrder};
 use sj_joins::{PagedTree, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
@@ -60,7 +60,8 @@ fn main() {
         for order in [TraversalOrder::BreadthFirst, TraversalOrder::DepthFirst] {
             pool.clear();
             pool.reset_stats();
-            let run = tree_select(&mut pool, &rel, &probe, theta, order);
+            let run = try_tree_select(&mut pool, &rel, &probe, theta, order)
+                .expect("in-memory disk cannot fault");
             reads.push((run.stats.physical_reads, run.matches.len()));
         }
         assert_eq!(

@@ -119,7 +119,9 @@ fn main() {
                 JoinRequest::new(theta).with_parallelism(par)
             };
             let t0 = Instant::now();
-            let out = exec.execute(&req, &mut pool);
+            let out = exec
+                .try_execute(&req, &mut pool)
+                .expect("in-memory disk cannot fault");
             best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
             if rep + 1 == REPS {
                 sink = req.take_trace();

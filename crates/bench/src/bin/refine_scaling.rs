@@ -26,8 +26,8 @@ use std::time::Instant;
 use sj_core::workload::{generate, GeometryKind, Placement, WorkloadSpec};
 use sj_costmodel::series::Series;
 use sj_geom::{Rect, ThetaOp};
-use sj_joins::sweep::try_sweep_join_traced;
-use sj_joins::{JoinRun, StoredRelation, TraceSink};
+use sj_joins::sweep::try_sweep_join;
+use sj_joins::{JoinRequest, JoinRun, StoredRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 const SIZES: [usize; 3] = [1_000, 4_000, 16_000];
@@ -102,7 +102,7 @@ fn main() {
             "compressed build degraded to the exact path at n={n}"
         );
 
-        let mut run_side = |r: &StoredRelation, s: &StoredRelation, sink: &mut TraceSink| {
+        let mut run_side = |r: &StoredRelation, s: &StoredRelation, req: &JoinRequest| {
             let mut best_ms = f64::INFINITY;
             let mut run: Option<JoinRun> = None;
             let mut reads = 0;
@@ -110,8 +110,8 @@ fn main() {
                 pool.clear();
                 pool.reset_stats();
                 let t0 = Instant::now();
-                let out = try_sweep_join_traced(&mut pool, r, s, theta, sink)
-                    .expect("in-memory disk cannot fault");
+                let out =
+                    try_sweep_join(&mut pool, r, s, req).expect("in-memory disk cannot fault");
                 best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
                 reads = pool.stats().physical_reads;
                 run = Some(out);
@@ -119,8 +119,10 @@ fn main() {
             (run.expect("REPS >= 1"), best_ms, reads)
         };
 
-        let (exact, exact_ms, exact_reads) = run_side(&exact_r, &exact_s, &mut TraceSink::Null);
-        let (margin, margin_ms, margin_reads) = run_side(&margin_r, &margin_s, &mut trace);
+        let (exact, exact_ms, exact_reads) = run_side(&exact_r, &exact_s, &JoinRequest::new(theta));
+        let margin_req = JoinRequest::new(theta).with_trace(std::mem::take(&mut trace));
+        let (margin, margin_ms, margin_reads) = run_side(&margin_r, &margin_s, &margin_req);
+        trace = margin_req.take_trace();
 
         assert_eq!(
             exact.pairs, margin.pairs,

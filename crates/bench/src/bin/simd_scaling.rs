@@ -24,8 +24,7 @@ use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_gentree::{join, FlatChildren};
 use sj_geom::sweep::{sweep_candidates_with, Kernel, SweepItem};
 use sj_geom::{Bounded, Rect, ThetaOp};
-use sj_joins::parallel::{try_partition_join_with, Parallelism};
-use sj_joins::{StoredRelation, TraceSink};
+use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 const SIZES: [usize; 4] = [1_000, 4_000, 16_000, 64_000];
@@ -99,7 +98,7 @@ fn main() {
 
         let paths: [(&str, [Sample; 2]); 3] = [
             ("sweep", run_sweep(&points, &rects, theta)),
-            ("partition", run_partition(&points, &rects, theta)),
+            ("partition", run_partition(&points, &rects, world, theta)),
             ("tree", run_tree(&points, &rects, theta)),
         ];
         for (pi, (path, [scalar, batched])) in paths.into_iter().enumerate() {
@@ -182,27 +181,28 @@ fn run_sweep(
 fn run_partition(
     points: &[(u64, sj_geom::Geometry)],
     rects: &[(u64, sj_geom::Geometry)],
+    world: Rect,
     theta: ThetaOp,
 ) -> [Sample; 2] {
     let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), 4096);
     let r = StoredRelation::build(&mut pool, points, 300, Layout::Clustered);
     let s = StoredRelation::build(&mut pool, rects, 300, Layout::Clustered);
-    let par = Parallelism { threads: 1 };
+    let mut exec = Strategy::Partition
+        .executor(&JoinOperands::flat(&r, &s, world))
+        .expect("flat operands present");
     [Kernel::Scalar, Kernel::Batched].map(|kernel| {
+        // A sequential request (the default) with the kernel pinned.
+        let req = JoinRequest {
+            kernel: Some(kernel),
+            ..JoinRequest::new(theta)
+        };
         let mut best_ms = f64::INFINITY;
         let mut run = None;
         for _ in 0..REPS {
             let t0 = Instant::now();
-            let out = try_partition_join_with(
-                &mut pool,
-                &r,
-                &s,
-                theta,
-                par,
-                &mut TraceSink::Null,
-                Some(kernel),
-            )
-            .expect("in-memory disk cannot fault");
+            let out = exec
+                .try_execute(&req, &mut pool)
+                .expect("in-memory disk cannot fault");
             best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
             run = Some(out);
         }

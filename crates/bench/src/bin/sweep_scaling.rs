@@ -1,5 +1,5 @@
 //! Nested-loop vs plane-sweep filter scaling: wall-clock and comparison
-//! counts for `sweep_join` against `nested_loop_join` on uniform
+//! counts for `try_sweep_join` against `try_nested_loop_join` on uniform
 //! point–rect workloads of growing size.
 //!
 //! Run: `cargo run --release -p sj-bench --bin sweep_scaling`
@@ -125,7 +125,9 @@ fn main() {
             pool.clear();
             pool.reset_stats();
             let t0 = Instant::now();
-            let nl = nested.execute(&JoinRequest::new(theta), &mut pool);
+            let nl = nested
+                .try_execute(&JoinRequest::new(theta), &mut pool)
+                .expect("in-memory disk cannot fault");
             best[0] = best[0].min(t0.elapsed().as_secs_f64() * 1e3);
             pool.clear();
             pool.reset_stats();
@@ -135,7 +137,9 @@ fn main() {
                 JoinRequest::new(theta)
             };
             let t1 = Instant::now();
-            let sw = sweep.execute(&req, &mut pool);
+            let sw = sweep
+                .try_execute(&req, &mut pool)
+                .expect("in-memory disk cannot fault");
             best[1] = best[1].min(t1.elapsed().as_secs_f64() * 1e3);
             if traced {
                 sink = req.take_trace();

@@ -74,7 +74,8 @@ fn main() {
     let r = StoredRelation::build(&mut pool, &tuples(0), 300, Layout::Clustered);
     let s = StoredRelation::build(&mut pool, &tuples(100_000), 300, Layout::Clustered);
     let theta = ThetaOp::WithinDistance(1.1);
-    let (mut idx, build) = JoinIndex::build(&mut pool, &r, &s, theta, 100);
+    let (mut idx, build) =
+        JoinIndex::try_build(&mut pool, &r, &s, theta, 100).expect("in-memory disk cannot fault");
     println!(
         "  join-index build: {} θ-evals, {} reads, {} writes; {} entries, height {}",
         build.theta_evals,

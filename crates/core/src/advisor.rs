@@ -519,12 +519,16 @@ mod tests {
         let mut want = Strategy::NestedLoop
             .executor(&ops)
             .unwrap()
-            .execute(&JoinRequest::new(theta), &mut pool)
+            .try_execute(&JoinRequest::new(theta), &mut pool)
+            .unwrap()
             .pairs;
         want.sort_unstable();
 
         let mut exec = Strategy::Auto.executor(&ops).expect("chooser attached");
-        let mut got = exec.execute(&JoinRequest::new(theta), &mut pool).pairs;
+        let mut got = exec
+            .try_execute(&JoinRequest::new(theta), &mut pool)
+            .unwrap()
+            .pairs;
         got.sort_unstable();
         assert_eq!(got, want, "auto dispatch must preserve the join result");
         let resolved = exec.resolved_strategy();
@@ -642,7 +646,9 @@ mod tests {
         let theta = ThetaOp::WithinDistance(0.6);
         let est = estimate_selectivity(&mut pool, &r, &s, theta, 20_000, 7);
         // Ground truth by exhaustive counting.
-        let matches = sj_joins::nested_loop::nested_loop_join(&mut pool, &r, &s, theta)
+        let req = sj_joins::JoinRequest::new(theta);
+        let matches = sj_joins::nested_loop::try_nested_loop_join(&mut pool, &r, &s, &req)
+            .unwrap()
             .pairs
             .len() as f64;
         let truth = matches / (2500.0 * 2500.0);

@@ -18,7 +18,7 @@ use sj_costmodel::yao::yao;
 use sj_gentree::balanced::build_balanced;
 use sj_gentree::{join as gt_join, select as gt_select};
 use sj_geom::{Geometry, Rect, ThetaOp};
-use sj_joins::tree_join::{tree_select, TraversalOrder};
+use sj_joins::tree_join::{try_tree_select, TraversalOrder};
 use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
@@ -114,7 +114,7 @@ pub fn validate_select(k: usize, n: usize, radius: f64, seed: u64) -> Validation
     let theta = ThetaOp::WithinDistance(radius);
 
     // Dry traversal to observe per-level Θ-match counts (the empirical π̂·kⁱ).
-    let outcome = gt_select::select(&tree, &o, theta, |_| {});
+    let outcome = gt_select::select_flat(&tree, None, &o, theta, |_| {});
     let visited = &outcome.stats.visited_per_level;
 
     let mut report = ValidationReport {
@@ -145,7 +145,8 @@ pub fn validate_select(k: usize, n: usize, radius: f64, seed: u64) -> Validation
     let flat = StoredRelation::build(&mut pool, &items, RECORD_SIZE, Layout::Clustered);
     pool.clear();
     pool.reset_stats();
-    let exh = sj_joins::nested_loop::exhaustive_select(&mut pool, &flat, &o, theta);
+    let exh = sj_joins::nested_loop::try_exhaustive_select(&mut pool, &flat, &o, theta)
+        .expect("no fault injector is armed");
     report.push(
         "I: page reads (⌈N/m⌉)",
         pages,
@@ -174,7 +175,8 @@ pub fn validate_select(k: usize, n: usize, radius: f64, seed: u64) -> Validation
     );
     pool.clear();
     pool.reset_stats();
-    let run_a = tree_select(&mut pool, &tr, &o, theta, TraversalOrder::BreadthFirst);
+    let run_a = try_tree_select(&mut pool, &tr, &o, theta, TraversalOrder::BreadthFirst)
+        .expect("no fault injector is armed");
     report.push(
         "IIa: page reads (Σ Yao per level)",
         predicted_iia,
@@ -200,7 +202,8 @@ pub fn validate_select(k: usize, n: usize, radius: f64, seed: u64) -> Validation
     let tr = TreeRelation::new(&mut pool, tree.clone(), RECORD_SIZE, Layout::Clustered);
     pool.clear();
     pool.reset_stats();
-    let run_b = tree_select(&mut pool, &tr, &o, theta, TraversalOrder::BreadthFirst);
+    let run_b = try_tree_select(&mut pool, &tr, &o, theta, TraversalOrder::BreadthFirst)
+        .expect("no fault injector is armed");
     report.push(
         "IIb: page reads (clustered Yao)",
         predicted_iib,
@@ -253,9 +256,11 @@ pub fn validate_join(k: usize, n: usize, radius: f64, seed: u64) -> ValidationRe
             .enumerate()
             .flat_map(|(d, nodes)| nodes.into_iter().map(move |nd| (nd, d)))
             .collect();
-        gt_join::join(
+        gt_join::join_flat(
             &tree_r,
+            None,
             &tree_s,
+            None,
             theta,
             |nd| {
                 seen_r[depth_r[&nd]].insert(nd);
@@ -299,7 +304,8 @@ pub fn validate_join(k: usize, n: usize, radius: f64, seed: u64) -> ValidationRe
     let nl = Strategy::NestedLoop
         .executor(&flat_ops)
         .expect("flat operands present")
-        .execute(&JoinRequest::new(theta), &mut pool);
+        .try_execute(&JoinRequest::new(theta), &mut pool)
+        .expect("no fault injector is armed");
     let passes = (total_nodes / (m * (mem_pages as f64 - 10.0))).ceil();
     report.push(
         "I: page reads ((passes+1)·⌈N/m⌉)",
@@ -351,7 +357,8 @@ pub fn validate_join(k: usize, n: usize, radius: f64, seed: u64) -> ValidationRe
         let run = Strategy::Tree
             .executor(&JoinOperands::trees(&tr, &ts, world))
             .expect("tree operands present")
-            .execute(&JoinRequest::new(theta), &mut pool);
+            .try_execute(&JoinRequest::new(theta), &mut pool)
+            .expect("no fault injector is armed");
         let predicted = predict(&seen_r, clustered) + predict(&seen_s, clustered);
         report.push(
             format!("{label}: page reads (Σ Yao per level)"),
@@ -385,7 +392,8 @@ pub fn validate_join(k: usize, n: usize, radius: f64, seed: u64) -> ValidationRe
     let stored = Strategy::Tree
         .executor(&JoinOperands::trees(&tr, &ts, world))
         .expect("tree operands present")
-        .execute(&JoinRequest::new(theta), &mut stored_pool);
+        .try_execute(&JoinRequest::new(theta), &mut stored_pool)
+        .expect("no fault injector is armed");
     report.push(
         "II: Θ+θ comparisons (dry vs stored)",
         (dry.stats.filter_evals + dry.stats.theta_evals) as f64,

@@ -18,17 +18,23 @@
 //! On top of the shared arena representation ([`tree::GenTree`]) this crate
 //! implements the paper's two algorithms with exact work accounting:
 //!
-//! * [`select::select`] — Algorithm SELECT (§3.2): breadth-first θ-selection
-//!   driven by the Θ-filter (plus a depth-first variant),
-//! * [`join::join`] — Algorithm JOIN (§3.3): the level-synchronized
-//!   `QualPairs` traversal with its two embedded SELECT passes.
+//! * [`select::select_flat`] — Algorithm SELECT (§3.2): breadth-first
+//!   θ-selection driven by the Θ-filter (plus a depth-first variant),
+//! * [`join::join_flat`] — Algorithm JOIN (§3.3): the level-synchronized
+//!   `QualPairs` traversal with its two embedded SELECT passes (plus a
+//!   depth-first reformulation).
+//!
+//! Each traversal takes an optional [`FlatChildren`] snapshot of the tree
+//! for batched child-MBR probes; pass `None` for the per-child scalar
+//! filter. Both give identical results and counters. The `try_*` forms
+//! take a fallible visitor and abort on its first error.
 //!
 //! ## Example: R-tree-backed spatial selection
 //!
 //! ```
 //! use sj_geom::{Geometry, Point, Rect, ThetaOp};
 //! use sj_gentree::rtree::{RTree, RTreeConfig};
-//! use sj_gentree::select::select;
+//! use sj_gentree::select::select_flat;
 //!
 //! let mut rt = RTree::new(RTreeConfig::default());
 //! for i in 0..100u64 {
@@ -37,7 +43,7 @@
 //!     rt.insert(i, Geometry::Rect(Rect::from_bounds(x, y, x + 5.0, y + 5.0)));
 //! }
 //! let probe = Geometry::Point(Point::new(22.0, 42.0));
-//! let out = select(rt.tree(), &probe, ThetaOp::WithinDistance(3.0), |_| {});
+//! let out = select_flat(rt.tree(), None, &probe, ThetaOp::WithinDistance(3.0), |_| {});
 //! assert_eq!(out.matches, vec![42]);
 //! ```
 
@@ -52,11 +58,8 @@ pub mod stats;
 pub mod tree;
 
 pub use flat::{expand_children, FlatChildren};
-pub use join::{
-    join, join_depth_first, join_depth_first_flat, join_flat, join_pair, join_pair_flat,
-    JoinOutcome,
-};
+pub use join::{join_depth_first_flat, join_flat, join_pair_flat, JoinOutcome};
 pub use knn::{nearest_k, Neighbor};
-pub use select::{select, select_dfs, select_dfs_flat, select_flat, SelectOutcome};
+pub use select::{select_dfs_flat, select_flat, SelectOutcome};
 pub use stats::TraversalStats;
 pub use tree::{Entry, GenTree, NodeId};

@@ -4,7 +4,8 @@
 //! surface instead of nine differently-shaped entry points.
 //!
 //! A [`JoinRequest`] carries everything that parameterizes a run —
-//! θ-operator, degree of parallelism, and an optional trace sink — while
+//! θ-operator, degree of parallelism, an optional filter-kernel
+//! override, and an optional trace sink — while
 //! the operands (stored relations, tree relations, world rectangle) live
 //! in [`JoinOperands`]. [`Strategy::executor`] turns a strategy plus
 //! operands into a boxed executor, or `None` when the operands a
@@ -12,34 +13,37 @@
 //! flat strategies need [`StoredRelation`]s).
 //!
 //! Index-backed strategies (join index, local join index, z-value index)
-//! build their index lazily on first [`JoinExecutor::execute`] and cache
+//! build their index lazily on first [`JoinExecutor::try_execute`] and cache
 //! it — keyed by θ where the index materializes a θ-join — so repeated
 //! runs measure pure query cost. Build cost is *never* folded into the
 //! returned [`JoinRun`]; it is the paper's precomputation, not the
 //! query.
 //!
-//! The free functions (`nested_loop_join`, `sweep_join`, …) remain the
-//! low-level entry points; every executor here is a thin stateful shim
-//! over them, so both surfaces stay exactly equivalent (property-tested
-//! in `tests/prop_phase_trace.rs`).
+//! Every executor is a one-call shim over its strategy's single public
+//! entry (`try_nested_loop_join(pool, r, s, req)`, `try_sweep_join`, …),
+//! which takes the same `&JoinRequest`; the two surfaces therefore stay
+//! exactly equivalent (property-tested in `tests/prop_phase_trace.rs`).
+//! The executor adds only operand binding, index caching, and
+//! [`Strategy::Auto`] dispatch.
 
 use std::cell::RefCell;
 
-use sj_geom::{Rect, ThetaOp};
+use sj_geom::{Kernel, Rect, ThetaOp};
 use sj_obs::TraceSink;
 use sj_storage::{BufferPool, StorageError};
 use sj_zorder::ZGrid;
 
-use crate::grid::{try_grid_join_traced, GridConfig};
+use crate::grid::{try_grid_join, GridConfig};
 use crate::join_index::JoinIndex;
 use crate::local_index::LocalJoinIndex;
-use crate::nested_loop::try_nested_loop_join_traced;
+use crate::nested_loop::try_nested_loop_join;
 use crate::paged_tree::TreeRelation;
-use crate::parallel::{try_parallel_tree_join_traced, try_partition_join_traced, Parallelism};
+use crate::parallel::{try_partition_join, Parallelism};
 use crate::relation::StoredRelation;
-use crate::sort_merge::{supported_by_zorder, try_zorder_overlap_join_traced};
+use crate::sort_merge::{supported_by_zorder, try_zorder_overlap_join};
 use crate::stats::JoinRun;
-use crate::sweep::try_sweep_join_traced;
+use crate::sweep::try_sweep_join;
+use crate::tree_join::try_tree_join;
 use crate::zindex::ZIndex;
 
 /// Default B⁺-tree order for lazily built indices (the model's `z`).
@@ -65,6 +69,14 @@ pub struct JoinRequest {
     /// Worker threads for the strategies that parallelize
     /// ([`Strategy::Partition`], [`Strategy::Tree`]); the rest ignore it.
     pub parallelism: Parallelism,
+    /// Filter-kernel override for the strategies with a batched SoA
+    /// filter path ([`Strategy::Sweep`], [`Strategy::Partition`],
+    /// [`Strategy::Tree`]); the rest ignore it. `None` keeps each
+    /// strategy's default: a size-based pick for sweep and partition,
+    /// [`Kernel::Batched`] for the tree join. Match sets and counters are
+    /// identical for every choice — the field exists for A/B measurement
+    /// (`simd_scaling`) and kernel-equivalence tests.
+    pub kernel: Option<Kernel>,
     /// Structured-trace destination; [`TraceSink::Null`] (the default)
     /// compiles the instrumentation down to plain counter arithmetic.
     pub trace: RefCell<TraceSink>,
@@ -76,6 +88,7 @@ impl JoinRequest {
         JoinRequest {
             theta,
             parallelism: Parallelism::sequential(),
+            kernel: None,
             trace: RefCell::new(TraceSink::Null),
         }
     }
@@ -113,7 +126,7 @@ pub trait JoinExecutor {
         self.strategy().supports(theta)
     }
 
-    /// The concrete strategy the *last* [`JoinExecutor::execute`] call
+    /// The concrete strategy the *last* [`JoinExecutor::try_execute`] call
     /// dispatched to. Identical to [`JoinExecutor::strategy`] for every
     /// concrete executor; [`Strategy::Auto`] overrides it to report the
     /// per-request advisor choice.
@@ -130,14 +143,6 @@ pub trait JoinExecutor {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError>;
-
-    /// Infallible [`JoinExecutor::try_execute`]: panics on a storage
-    /// fault. With no fault injector armed and a healthy disk, storage
-    /// never faults, so this behaves exactly like the historical API.
-    fn execute(&mut self, req: &JoinRequest, pool: &mut BufferPool) -> JoinRun {
-        self.try_execute(req, pool)
-            .unwrap_or_else(|e| panic!("join execution failed: {e}"))
-    }
 }
 
 /// Per-request strategy chooser consulted by [`Strategy::Auto`]: given
@@ -369,7 +374,7 @@ impl JoinExecutor for NestedLoopExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        try_nested_loop_join_traced(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
+        try_nested_loop_join(pool, self.r, self.s, req)
     }
 }
 
@@ -388,7 +393,7 @@ impl JoinExecutor for SweepExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        try_sweep_join_traced(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
+        try_sweep_join(pool, self.r, self.s, req)
     }
 }
 
@@ -407,17 +412,7 @@ impl JoinExecutor for TreeExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        // Falls back to the sequential Algorithm JOIN when
-        // `req.parallelism` is one thread, so the request's parallelism
-        // knob covers strategy II uniformly.
-        try_parallel_tree_join_traced(
-            pool,
-            self.r,
-            self.s,
-            req.theta,
-            req.parallelism,
-            &mut req.trace.borrow_mut(),
-        )
+        try_tree_join(pool, self.r, self.s, req)
     }
 }
 
@@ -438,16 +433,17 @@ impl JoinExecutor for JoinIndexExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        let rebuild = !matches!(&self.cache, Some((t, _)) if *t == req.theta);
-        if rebuild {
+        let idx = match &mut self.cache {
+            Some((t, idx)) if *t == req.theta => idx,
             // Only a *successful* build is cached: a build aborted by a
             // fault leaves the previous cache (if any) intact.
-            let (idx, _build_cost) =
-                JoinIndex::try_build(pool, self.r, self.s, req.theta, DEFAULT_Z)?;
-            self.cache = Some((req.theta, idx));
-        }
-        let (_, idx) = self.cache.as_ref().expect("cache was just populated");
-        idx.try_join_traced(pool, self.r, self.s, &mut req.trace.borrow_mut())
+            cache => {
+                let (idx, _build_cost) =
+                    JoinIndex::try_build(pool, self.r, self.s, req.theta, DEFAULT_Z)?;
+                &mut cache.insert((req.theta, idx)).1
+            }
+        };
+        idx.try_join(pool, self.r, self.s, &mut req.trace.borrow_mut())
     }
 }
 
@@ -467,20 +463,21 @@ impl JoinExecutor for LocalIndexExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        let rebuild = !matches!(&self.cache, Some((t, _)) if *t == req.theta);
-        if rebuild {
-            let (idx, _build_cost) = LocalJoinIndex::try_build(
-                pool,
-                self.r,
-                self.s,
-                req.theta,
-                DEFAULT_LOCAL_LEVEL,
-                DEFAULT_Z,
-            )?;
-            self.cache = Some((req.theta, idx));
-        }
-        let (_, idx) = self.cache.as_ref().expect("cache was just populated");
-        idx.try_join_traced(pool, &mut req.trace.borrow_mut())
+        let idx = match &mut self.cache {
+            Some((t, idx)) if *t == req.theta => idx,
+            cache => {
+                let (idx, _build_cost) = LocalJoinIndex::try_build(
+                    pool,
+                    self.r,
+                    self.s,
+                    req.theta,
+                    DEFAULT_LOCAL_LEVEL,
+                    DEFAULT_Z,
+                )?;
+                &mut cache.insert((req.theta, idx)).1
+            }
+        };
+        idx.try_join(pool, &mut req.trace.borrow_mut())
     }
 }
 
@@ -500,14 +497,7 @@ impl JoinExecutor for ZOrderMergeExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        try_zorder_overlap_join_traced(
-            pool,
-            self.r,
-            self.s,
-            &self.grid,
-            req.theta,
-            &mut req.trace.borrow_mut(),
-        )
+        try_zorder_overlap_join(pool, self.r, self.s, &self.grid, req)
     }
 }
 
@@ -530,11 +520,11 @@ impl JoinExecutor for ZIndexExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        if self.cache.is_none() {
-            self.cache = Some(ZIndex::try_build(pool, self.r, self.grid, DEFAULT_Z)?);
-        }
-        let idx = self.cache.as_ref().expect("cache was just populated");
-        idx.try_join_traced(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
+        let idx = match &mut self.cache {
+            Some(idx) => idx,
+            cache => cache.insert(ZIndex::try_build(pool, self.r, self.grid, DEFAULT_Z)?),
+        };
+        idx.try_join(pool, self.r, self.s, req)
     }
 }
 
@@ -554,14 +544,7 @@ impl JoinExecutor for GridExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        try_grid_join_traced(
-            pool,
-            self.r,
-            self.s,
-            self.config,
-            req.theta,
-            &mut req.trace.borrow_mut(),
-        )
+        try_grid_join(pool, self.r, self.s, self.config, req)
     }
 }
 
@@ -580,14 +563,7 @@ impl JoinExecutor for PartitionExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        try_partition_join_traced(
-            pool,
-            self.r,
-            self.s,
-            req.theta,
-            req.parallelism,
-            &mut req.trace.borrow_mut(),
-        )
+        try_partition_join(pool, self.r, self.s, req)
     }
 }
 
@@ -617,7 +593,7 @@ impl<'a> AutoExec<'a> {
         Ok(Strategy::ALL
             .into_iter()
             .find(|s| s.supports(theta) && s.executor(&self.ops).is_some())
-            .expect("a universal strategy exists for the available operands"))
+            .expect("a universal strategy exists")) // PANIC-OK: NestedLoop/Tree run every θ
     }
 }
 
@@ -640,18 +616,15 @@ impl JoinExecutor for AutoExec<'_> {
         req.trace
             .borrow_mut()
             .emit(&format!("auto/choose:{}", chosen.name()), 0, &[]);
-        if !self.cache.iter().any(|(s, _)| *s == chosen) {
-            let exec = chosen
-                .executor(&self.ops)
-                .expect("resolve() verified operand availability");
-            self.cache.push((chosen, exec));
-        }
-        let (_, exec) = self
-            .cache
-            .iter_mut()
-            .find(|(s, _)| *s == chosen)
-            .expect("cache entry was just ensured");
-        exec.try_execute(req, pool)
+        let pos = match self.cache.iter().position(|(s, _)| *s == chosen) {
+            Some(pos) => pos,
+            None => {
+                let exec = chosen.executor(&self.ops).expect("operands present"); // PANIC-OK: resolve() checked them
+                self.cache.push((chosen, exec));
+                self.cache.len() - 1
+            }
+        };
+        self.cache[pos].1.try_execute(req, pool)
     }
 }
 
@@ -711,14 +684,15 @@ mod tests {
         let mut want = Strategy::NestedLoop
             .executor(&JoinOperands::flat(&r, &s, world))
             .unwrap()
-            .execute(&JoinRequest::new(theta), &mut p)
+            .try_execute(&JoinRequest::new(theta), &mut p)
+            .unwrap()
             .pairs;
         want.sort_unstable();
 
         let mut exec = Strategy::Auto.executor(&ops).expect("chooser attached");
         assert_eq!(exec.strategy(), Strategy::Auto);
         let req = JoinRequest::new(theta).with_trace(TraceSink::vec());
-        let mut got = exec.execute(&req, &mut p).pairs;
+        let mut got = exec.try_execute(&req, &mut p).unwrap().pairs;
         got.sort_unstable();
         assert_eq!(got, want);
         assert_eq!(exec.resolved_strategy(), Strategy::Sweep);
@@ -748,12 +722,16 @@ mod tests {
         let mut want = Strategy::NestedLoop
             .executor(&JoinOperands::flat(&r, &s, world))
             .unwrap()
-            .execute(&JoinRequest::new(theta), &mut p)
+            .try_execute(&JoinRequest::new(theta), &mut p)
+            .unwrap()
             .pairs;
         want.sort_unstable();
 
         let mut exec = Strategy::Auto.executor(&ops).unwrap();
-        let mut got = exec.execute(&JoinRequest::new(theta), &mut p).pairs;
+        let mut got = exec
+            .try_execute(&JoinRequest::new(theta), &mut p)
+            .unwrap()
+            .pairs;
         got.sort_unstable();
         assert_eq!(got, want);
         let resolved = exec.resolved_strategy();
@@ -773,7 +751,9 @@ mod tests {
         };
         let ops = JoinOperands::flat(&r, &s, world).with_chooser(&chooser);
         let mut exec = Strategy::Auto.executor(&ops).unwrap();
-        let run = exec.execute(&JoinRequest::new(ThetaOp::Overlaps), &mut p);
+        let run = exec
+            .try_execute(&JoinRequest::new(ThetaOp::Overlaps), &mut p)
+            .unwrap();
         assert!(!run.pairs.is_empty());
         assert!(matches!(
             exec.resolved_strategy(),
@@ -794,7 +774,8 @@ mod tests {
         let mut want = Strategy::NestedLoop
             .executor(&ops)
             .expect("flat operands present")
-            .execute(&req, &mut p)
+            .try_execute(&req, &mut p)
+            .unwrap()
             .pairs;
         want.sort_unstable();
         for strat in Strategy::ALL {
@@ -808,7 +789,7 @@ mod tests {
             };
             assert_eq!(exec.strategy(), strat);
             assert!(exec.supports(theta));
-            let mut got = exec.execute(&req, &mut p).pairs;
+            let mut got = exec.try_execute(&req, &mut p).unwrap().pairs;
             got.sort_unstable();
             assert_eq!(got, want, "{} diverges", strat.name());
         }
@@ -833,9 +814,15 @@ mod tests {
         let world = Rect::from_bounds(0.0, 0.0, 64.0, 64.0);
         let ops = JoinOperands::flat(&r, &s, world);
         let mut exec = Strategy::JoinIndex.executor(&ops).unwrap();
-        let a = exec.execute(&JoinRequest::new(ThetaOp::WithinDistance(10.5)), &mut p);
-        let b = exec.execute(&JoinRequest::new(ThetaOp::Overlaps), &mut p);
-        let a2 = exec.execute(&JoinRequest::new(ThetaOp::WithinDistance(10.5)), &mut p);
+        let a = exec
+            .try_execute(&JoinRequest::new(ThetaOp::WithinDistance(10.5)), &mut p)
+            .unwrap();
+        let b = exec
+            .try_execute(&JoinRequest::new(ThetaOp::Overlaps), &mut p)
+            .unwrap();
+        let a2 = exec
+            .try_execute(&JoinRequest::new(ThetaOp::WithinDistance(10.5)), &mut p)
+            .unwrap();
         assert_ne!(a.pairs.len(), b.pairs.len());
         let mut x = a.pairs.clone();
         let mut y = a2.pairs.clone();
@@ -857,7 +844,8 @@ mod tests {
         let run = Strategy::Partition
             .executor(&ops)
             .unwrap()
-            .execute(&req, &mut p);
+            .try_execute(&req, &mut p)
+            .unwrap();
         assert_eq!(run.stats, run.phases.total());
         let sink = req.take_trace();
         let events = sink.events();

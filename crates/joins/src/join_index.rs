@@ -29,20 +29,9 @@ pub struct JoinIndex {
 impl JoinIndex {
     /// Precomputes the join index by θ-testing all pairs. Returns the
     /// index and the (substantial) build cost: a nested-loop pass priced
-    /// in θ-evaluations, data-page reads, and index-page writes.
-    pub fn build(
-        pool: &mut BufferPool,
-        r: &StoredRelation,
-        s: &StoredRelation,
-        theta: ThetaOp,
-        z: usize,
-    ) -> (Self, ExecStats) {
-        Self::try_build(pool, r, s, theta, z)
-            .unwrap_or_else(|e| panic!("join index build failed: {e}"))
-    }
-
-    /// Fail-stop [`JoinIndex::build`]: the first storage fault during the
-    /// build scans aborts with a typed error (no partially built index).
+    /// in θ-evaluations, data-page reads, and index-page writes. The
+    /// first storage fault during the build scans aborts with a typed
+    /// error (no partially built index).
     pub fn try_build(
         pool: &mut BufferPool,
         r: &StoredRelation,
@@ -91,27 +80,13 @@ impl JoinIndex {
     }
 
     /// Computes the full join from the index: read the index (leaf chain)
-    /// and fetch every matching tuple pair through the pool.
-    pub fn join(&self, pool: &mut BufferPool, r: &StoredRelation, s: &StoredRelation) -> JoinRun {
-        self.join_traced(pool, r, s, &mut TraceSink::Null)
-    }
-
-    /// [`join`](JoinIndex::join) with phase instrumentation: index node
-    /// accesses are the `index-probe` phase, tuple fetches the `refine`
-    /// phase (strategy III does zero comparison work at query time).
-    pub fn join_traced(
-        &self,
-        pool: &mut BufferPool,
-        r: &StoredRelation,
-        s: &StoredRelation,
-        trace: &mut TraceSink,
-    ) -> JoinRun {
-        self.try_join_traced(pool, r, s, trace)
-            .unwrap_or_else(|e| panic!("join index join failed: {e}"))
-    }
-
-    /// Fail-stop [`join_traced`](JoinIndex::join_traced).
-    pub fn try_join_traced(
+    /// and fetch every matching tuple pair through the pool. θ is fixed
+    /// at build, so the run takes only a trace sink.
+    ///
+    /// Phases: index node accesses are the `index-probe` phase, tuple
+    /// fetches the `refine` phase (strategy III does zero comparison work
+    /// at query time).
+    pub fn try_join(
         &self,
         pool: &mut BufferPool,
         r: &StoredRelation,
@@ -206,7 +181,8 @@ impl JoinIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nested_loop::nested_loop_join;
+    use crate::executor::JoinRequest;
+    use crate::nested_loop::try_nested_loop_join;
     use sj_geom::Point;
     use sj_storage::{Disk, DiskConfig, Layout};
 
@@ -232,12 +208,17 @@ mod tests {
         let r = grid_rel(&mut p, 6, 10.0, 0);
         let s = grid_rel(&mut p, 6, 10.0, 500);
         let theta = ThetaOp::WithinDistance(10.5);
-        let (idx, build_stats) = JoinIndex::build(&mut p, &r, &s, theta, 16);
+        let (idx, build_stats) = JoinIndex::try_build(&mut p, &r, &s, theta, 16).unwrap();
         assert_eq!(build_stats.theta_evals, 36 * 36);
 
-        let mut got = idx.join(&mut p, &r, &s).pairs;
+        let mut got = idx
+            .try_join(&mut p, &r, &s, &mut TraceSink::Null)
+            .unwrap()
+            .pairs;
         got.sort_unstable();
-        let mut want = nested_loop_join(&mut p, &r, &s, theta).pairs;
+        let mut want = try_nested_loop_join(&mut p, &r, &s, &JoinRequest::new(theta))
+            .unwrap()
+            .pairs;
         want.sort_unstable();
         assert_eq!(got, want);
     }
@@ -247,8 +228,9 @@ mod tests {
         let mut p = pool();
         let r = grid_rel(&mut p, 5, 10.0, 0);
         let s = grid_rel(&mut p, 5, 10.0, 500);
-        let (idx, _) = JoinIndex::build(&mut p, &r, &s, ThetaOp::WithinDistance(10.5), 16);
-        let run = idx.join(&mut p, &r, &s);
+        let (idx, _) =
+            JoinIndex::try_build(&mut p, &r, &s, ThetaOp::WithinDistance(10.5), 16).unwrap();
+        let run = idx.try_join(&mut p, &r, &s, &mut TraceSink::Null).unwrap();
         assert_eq!(
             run.stats.theta_evals, 0,
             "strategy III does no θ work at query time"
@@ -262,8 +244,11 @@ mod tests {
         let r = grid_rel(&mut p, 5, 10.0, 0);
         let s = grid_rel(&mut p, 5, 10.0, 500);
         let theta = ThetaOp::WithinDistance(10.5);
-        let (idx, _) = JoinIndex::build(&mut p, &r, &s, theta, 8);
-        let all = idx.join(&mut p, &r, &s).pairs;
+        let (idx, _) = JoinIndex::try_build(&mut p, &r, &s, theta, 8).unwrap();
+        let all = idx
+            .try_join(&mut p, &r, &s, &mut TraceSink::Null)
+            .unwrap()
+            .pairs;
         for probe in [0u64, 12, 24] {
             let mut got = idx.select_for_r(&mut p, probe, &s).matches;
             got.sort_unstable();
@@ -283,7 +268,7 @@ mod tests {
         let r = grid_rel(&mut p, 4, 10.0, 0);
         let s = grid_rel(&mut p, 4, 10.0, 500);
         let theta = ThetaOp::WithinDistance(0.5);
-        let (mut idx, _) = JoinIndex::build(&mut p, &r, &s, theta, 8);
+        let (mut idx, _) = JoinIndex::try_build(&mut p, &r, &s, theta, 8).unwrap();
         let before_len = idx.len();
         // A new R tuple exactly on top of S tuple 505 (grid cell (1, 1)).
         let g = Geometry::Point(Point::new(10.0, 10.0));
@@ -299,7 +284,8 @@ mod tests {
         let mut p = pool();
         let r = grid_rel(&mut p, 4, 10.0, 0);
         let s = grid_rel(&mut p, 4, 10.0, 500);
-        let (mut idx, _) = JoinIndex::build(&mut p, &r, &s, ThetaOp::WithinDistance(10.5), 8);
+        let (mut idx, _) =
+            JoinIndex::try_build(&mut p, &r, &s, ThetaOp::WithinDistance(10.5), 8).unwrap();
         let victim = 5u64;
         let had = idx.select_for_r(&mut p, victim, &s).matches.len();
         assert!(had > 0);
@@ -315,10 +301,11 @@ mod tests {
         let mut p = pool();
         let r = grid_rel(&mut p, 6, 10.0, 0);
         let s = grid_rel(&mut p, 6, 10.0, 500);
-        let (idx, build) = JoinIndex::build(&mut p, &r, &s, ThetaOp::WithinDistance(0.5), 16);
+        let (idx, build) =
+            JoinIndex::try_build(&mut p, &r, &s, ThetaOp::WithinDistance(0.5), 16).unwrap();
         p.clear();
         p.reset_stats();
-        let query = idx.join(&mut p, &r, &s);
+        let query = idx.try_join(&mut p, &r, &s, &mut TraceSink::Null).unwrap();
         assert_eq!(build.theta_evals, 36 * 36);
         assert_eq!(query.stats.theta_evals, 0);
         let data_pages = (r.page_count() + s.page_count()) as u64;

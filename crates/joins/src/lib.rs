@@ -14,8 +14,8 @@
 //! | §5's *local join indices* (future work, implemented) | [`local_index`] |
 //! | grid-file join (Rotem's index-supported baseline) | [`grid`] |
 //! | z-value B⁺-tree index (UB-tree style, §2.2) | [`zindex`] |
-//! | PBSM-style partition-parallel filter-and-refine | [`parallel::partition_join`] (plus [`parallel::parallel_tree_join`] for strategy II) |
-//! | forward-scan plane-sweep filter (sequential) | [`sweep::sweep_join`] |
+//! | PBSM-style partition-parallel filter-and-refine | [`parallel`] (which also parallelizes strategy II) |
+//! | forward-scan plane-sweep filter (sequential) | [`sweep`] |
 //!
 //! Every executor is validated (unit + property tests) to return exactly
 //! the same match set as the nested-loop reference.
@@ -23,32 +23,36 @@
 //! ## The unified executor API
 //!
 //! All nine strategies are also reachable through one surface: build a
-//! [`JoinRequest`] (θ, parallelism, optional trace sink), pick a
-//! [`Strategy`], and run [`JoinExecutor::execute`] over
-//! [`JoinOperands`]. This is what the experiment harness and benchmark
-//! bins dispatch through; the free functions below remain as thin
-//! low-level entry points.
+//! [`JoinRequest`] (θ, parallelism, filter-kernel override, optional
+//! trace sink), pick a [`Strategy`], and run
+//! [`JoinExecutor::try_execute`] over [`JoinOperands`]. This is what the
+//! experiment harness, the service, and the benchmark bins dispatch
+//! through.
 //!
 //! ## Call conventions
 //!
-//! Every join entry point follows one convention: **the [`BufferPool`]
-//! is the first argument (or the first after `&self`), operands follow
-//! in `R`-before-`S` order, θ comes after the operands.** Index-backed
-//! joins take the pool too, even when the index can answer from its own
-//! structures (e.g. [`LocalJoinIndex::join`]) — all I/O accounting flows
-//! through one pool argument at one position:
+//! Each strategy has exactly **one** public entry, and it is fallible:
+//! the first storage fault aborts the run with a typed
+//! [`StorageError`](sj_storage::StorageError), never a partial match
+//! set. **The [`BufferPool`] is the first argument (or the first after
+//! `&self`), operands follow in `R`-before-`S` order, and the
+//! [`JoinRequest`] comes last.** The entry borrows the request's trace
+//! sink once and hands it to its body; fallbacks (directional θ in sweep
+//! and partition, one thread in the tree join) reuse that borrow.
 //!
 //! | Entry point | Shape |
 //! |---|---|
-//! | free functions | `join(pool, r, s, theta)` |
-//! | [`JoinIndex::join`] | `join(&self, pool, r, s)` (θ fixed at build) |
-//! | [`LocalJoinIndex::join`] | `join(&self, pool)` (operands and θ fixed at build) |
-//! | [`ZIndex::join`] | `join(&self, pool, r, s, theta)` |
-//! | [`JoinExecutor::execute`] | `execute(&mut self, req, pool)` |
+//! | free functions | `try_x_join(pool, r, s, req)` (grid and z-order merge also take their grid) |
+//! | [`ZIndex::try_join`] | `try_join(&self, pool, r, s, req)` |
+//! | [`JoinIndex::try_join`] | `try_join(&self, pool, r, s, trace)` (θ fixed at build) |
+//! | [`LocalJoinIndex::try_join`] | `try_join(&self, pool, trace)` (operands and θ fixed at build) |
+//! | [`JoinExecutor::try_execute`] | `try_execute(&mut self, req, pool)` |
 //!
-//! Every entry point also has a `*_traced` twin taking a trailing
-//! `&mut TraceSink` ([`sj_obs`]) that emits per-phase spans; the
-//! untraced form is a forwarding wrapper passing [`TraceSink::Null`].
+//! Index-backed joins take the pool too, even when the index can answer
+//! from its own structures — all I/O accounting flows through one pool
+//! argument at one position. Pass `&JoinRequest::new(theta)` (or
+//! `&mut TraceSink::Null` to the build-fixed index joins) for an
+//! untraced run. Index builds have one form as well, `try_build`.
 //!
 //! [`Layout`]: sj_storage::Layout
 //! [`BufferPool`]: sj_storage::BufferPool
@@ -74,10 +78,10 @@ pub use join_index::JoinIndex;
 pub use local_index::LocalJoinIndex;
 pub use mutation::{ApplyMode, Mutation, MutationOutcome, Side, TouchedRegions, WriteBatch};
 pub use paged_tree::{ClusterOrder, CodecMode, PagedTree, TreeRelation};
-pub use parallel::{parallel_tree_join, partition_join, tiles_per_axis, Parallelism, TileGrid};
+pub use parallel::{tiles_per_axis, try_partition_join, Parallelism, TileGrid};
 pub use refine::MarginRefiner;
 pub use relation::StoredRelation;
 pub use sj_obs::{Phase, PhaseTimer, TraceEvent, TraceSink};
 pub use stats::{ExecStats, JoinRun, PhaseStats, SelectRun};
-pub use sweep::sweep_join;
+pub use sweep::try_sweep_join;
 pub use zindex::ZIndex;

@@ -77,22 +77,9 @@ impl LocalJoinIndex {
     /// Builds the local indices: Θ-filters all anchor pairs, then runs a
     /// nested loop *within* each qualifying pair only. The returned stats
     /// carry the Θ- and θ-evaluation counts (contrast with a global
-    /// index's `N²`). Entry records are read through the pool (charged).
-    pub fn build(
-        pool: &mut BufferPool,
-        r: &TreeRelation,
-        s: &TreeRelation,
-        theta: ThetaOp,
-        level: usize,
-        z: usize,
-    ) -> (Self, ExecStats) {
-        Self::try_build(pool, r, s, theta, level, z)
-            .unwrap_or_else(|e| panic!("local join index build failed: {e}"))
-    }
-
-    /// Fail-stop [`LocalJoinIndex::build`]: the first faulted node touch
-    /// during the build sweeps aborts with a typed error (no partially
-    /// built index).
+    /// index's `N²`). Entry records are read through the pool (charged);
+    /// the first faulted node touch during the build sweeps aborts with a
+    /// typed error (no partially built index).
     pub fn try_build(
         pool: &mut BufferPool,
         r: &TreeRelation,
@@ -192,31 +179,20 @@ impl LocalJoinIndex {
     }
 
     /// The full join: unions all local indices, charging one simulated
-    /// page read per B⁺-tree node visited.
+    /// page read per B⁺-tree node visited. Operands and θ are fixed at
+    /// build, so the run takes only a trace sink; the whole union is
+    /// `index-probe` work.
     ///
     /// The pool parameter exists for call-surface consistency with every
     /// other executor (and any future spill of local indices to heap
-    /// pages); the union itself reads only index nodes, so the pool
-    /// window normally contributes nothing.
-    pub fn join(&self, pool: &mut BufferPool) -> JoinRun {
-        self.join_traced(pool, &mut TraceSink::Null)
-    }
-
-    /// Fail-stop [`join_traced`](LocalJoinIndex::join_traced). The union
-    /// reads only in-memory index nodes, so it cannot fault today; the
-    /// fallible signature keeps the executor surface uniform (and covers
-    /// any future spill of local indices to heap pages).
-    pub fn try_join_traced(
+    /// pages); the union itself reads only in-memory index nodes, so the
+    /// pool window normally contributes nothing and the run cannot fault
+    /// today.
+    pub fn try_join(
         &self,
         pool: &mut BufferPool,
         trace: &mut TraceSink,
     ) -> Result<JoinRun, StorageError> {
-        Ok(self.join_traced(pool, trace))
-    }
-
-    /// [`join`](LocalJoinIndex::join) with phase instrumentation: the
-    /// whole union is `index-probe` work.
-    pub fn join_traced(&self, pool: &mut BufferPool, trace: &mut TraceSink) -> JoinRun {
         let mut timer = PhaseTimer::for_sink(trace);
         timer.enter(Phase::IndexProbe);
         let window = pool.stats();
@@ -238,7 +214,7 @@ impl LocalJoinIndex {
         timer.stop();
         run.phases.record(Phase::IndexProbe, probe);
         run.seal("local_index", &timer, trace);
-        run
+        Ok(run)
     }
 
     /// Maintenance for inserting `(id, geom)` into `R`: the new entry is
@@ -261,12 +237,12 @@ impl LocalJoinIndex {
             .min_by(|&a, &b| {
                 let ea = r_tree.mbr(a).enlargement(&mbr);
                 let eb = r_tree.mbr(b).enlargement(&mbr);
-                ea.partial_cmp(&eb).expect("finite areas")
+                ea.partial_cmp(&eb).expect("finite areas") // PANIC-OK: MBR areas are finite
             })
-            .expect("at least the root anchor exists");
+            .expect("at least the root anchor exists"); // PANIC-OK: every level has an anchor
         self.r_entries
             .get_mut(&anchor)
-            .expect("anchor registered at build")
+            .expect("anchor registered at build") // PANIC-OK: anchors come from build
             .push((id, geom.clone()));
 
         let anchor_mbr = r_tree.mbr(anchor).union(&mbr);
@@ -295,8 +271,9 @@ impl LocalJoinIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::JoinRequest;
     use crate::join_index::JoinIndex;
-    use crate::nested_loop::nested_loop_join;
+    use crate::nested_loop::try_nested_loop_join;
     use crate::relation::StoredRelation;
     use sj_gentree::rtree::{RTree, RTreeConfig};
     use sj_geom::{Point, Rect};
@@ -336,13 +313,16 @@ mod tests {
 
         let flat_r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
         let flat_s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
-        let mut reference = nested_loop_join(&mut p, &flat_r, &flat_s, theta).pairs;
+        let mut reference =
+            try_nested_loop_join(&mut p, &flat_r, &flat_s, &JoinRequest::new(theta))
+                .unwrap()
+                .pairs;
         reference.sort_unstable();
         assert_eq!(reference.len(), 64);
 
         for level in 0..=3 {
-            let (idx, _) = LocalJoinIndex::build(&mut p, &r, &s, theta, level, 16);
-            let got = idx.join(&mut p).pairs;
+            let (idx, _) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, level, 16).unwrap();
+            let got = idx.try_join(&mut p, &mut TraceSink::Null).unwrap().pairs;
             assert_eq!(got, reference, "level {level}");
         }
     }
@@ -353,8 +333,8 @@ mod tests {
         let r = tree_rel(&mut p, grid_tuples(10, 10.0, 0.0, 0));
         let s = tree_rel(&mut p, grid_tuples(10, 10.0, 0.5, 1000));
         let theta = ThetaOp::WithinDistance(1.0);
-        let (_, stats0) = LocalJoinIndex::build(&mut p, &r, &s, theta, 0, 16);
-        let (_, stats2) = LocalJoinIndex::build(&mut p, &r, &s, theta, 2, 16);
+        let (_, stats0) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 0, 16).unwrap();
+        let (_, stats2) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 2, 16).unwrap();
         // Level 0 is the full N² nested loop; deeper anchors prune.
         assert_eq!(stats0.theta_evals, 100 * 100);
         assert!(
@@ -385,14 +365,14 @@ mod tests {
             300,
             Layout::Clustered,
         );
-        let (mut global, _) = JoinIndex::build(&mut p, &flat_r, &flat_s, theta, 16);
+        let (mut global, _) = JoinIndex::try_build(&mut p, &flat_r, &flat_s, theta, 16).unwrap();
         // Right on top of S tuple 1044 at (40.5, 40.5).
         let g = Geometry::Point(Point::new(40.6, 40.5));
         let global_maint = global.maintain_insert_r(&mut p, 9999, &g, &flat_s);
         assert_eq!(global_maint.theta_evals, 100);
 
         // Local index maintenance only touches Θ-matching subtrees.
-        let (mut local, _) = LocalJoinIndex::build(&mut p, &r, &s, theta, 2, 16);
+        let (mut local, _) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 2, 16).unwrap();
         let local_maint = local.maintain_insert_r(&r.tree, &s.tree, 9999, &g);
         assert!(
             local_maint.theta_evals < 100,
@@ -400,7 +380,7 @@ mod tests {
             local_maint.theta_evals
         );
         // And the resulting join includes the new match.
-        let joined = local.join(&mut p).pairs;
+        let joined = local.try_join(&mut p, &mut TraceSink::Null).unwrap().pairs;
         assert!(joined.contains(&(9999, 1044)));
     }
 
@@ -412,19 +392,19 @@ mod tests {
         let r = tree_rel(&mut p, r_tuples.clone());
         let s = tree_rel(&mut p, s_tuples.clone());
         let theta = ThetaOp::WithinDistance(1.0);
-        let (mut idx, _) = LocalJoinIndex::build(&mut p, &r, &s, theta, 1, 16);
+        let (mut idx, _) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 1, 16).unwrap();
 
         let new_geom = Geometry::Point(Point::new(20.5, 30.5)); // on top of an S point
         idx.maintain_insert_r(&r.tree, &s.tree, 777, &new_geom);
-        let mut incremental = idx.join(&mut p).pairs;
+        let mut incremental = idx.try_join(&mut p, &mut TraceSink::Null).unwrap().pairs;
         incremental.sort_unstable();
 
         // Rebuild from scratch with the extra R tuple.
         let mut r_all = r_tuples.clone();
         r_all.push((777, new_geom));
         let r2 = tree_rel(&mut p, r_all.clone());
-        let (fresh, _) = LocalJoinIndex::build(&mut p, &r2, &s, theta, 1, 16);
-        let mut rebuilt = fresh.join(&mut p).pairs;
+        let (fresh, _) = LocalJoinIndex::try_build(&mut p, &r2, &s, theta, 1, 16).unwrap();
+        let mut rebuilt = fresh.try_join(&mut p, &mut TraceSink::Null).unwrap().pairs;
         rebuilt.sort_unstable();
         assert_eq!(incremental, rebuilt);
         assert!(incremental.iter().any(|&(a, _)| a == 777));
@@ -436,7 +416,7 @@ mod tests {
         let r = tree_rel(&mut p, grid_tuples(8, 20.0, 0.0, 0));
         let s = tree_rel(&mut p, grid_tuples(8, 20.0, 100.0, 1000)); // far away
         let theta = ThetaOp::WithinDistance(5.0);
-        let (idx, _) = LocalJoinIndex::build(&mut p, &r, &s, theta, 2, 16);
+        let (idx, _) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 2, 16).unwrap();
         let all_pairs = anchors_at(&r.tree, 2).len() * anchors_at(&s.tree, 2).len();
         assert!(
             idx.partition_count() < all_pairs,
@@ -465,9 +445,14 @@ mod tests {
         let theta = ThetaOp::Overlaps;
         let flat_r = StoredRelation::build(&mut p, &mk(0.0, 0), 300, Layout::Clustered);
         let flat_s = StoredRelation::build(&mut p, &mk(5.0, 1000), 300, Layout::Clustered);
-        let mut want = nested_loop_join(&mut p, &flat_r, &flat_s, theta).pairs;
+        let mut want = try_nested_loop_join(&mut p, &flat_r, &flat_s, &JoinRequest::new(theta))
+            .unwrap()
+            .pairs;
         want.sort_unstable();
-        let (idx, _) = LocalJoinIndex::build(&mut p, &r, &s, theta, 1, 16);
-        assert_eq!(idx.join(&mut p).pairs, want);
+        let (idx, _) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 1, 16).unwrap();
+        assert_eq!(
+            idx.try_join(&mut p, &mut TraceSink::Null).unwrap().pairs,
+            want
+        );
     }
 }

@@ -166,10 +166,10 @@ impl PagedTree {
     /// Charges the I/O of visiting `node` (a record read through the
     /// pool) and returns the stored bytes' decoded content.
     pub fn touch(&self, pool: &mut BufferPool, node: NodeId) -> (u64, Geometry) {
-        // PANIC-OK: records written by build/evolve are well-formed; the
-        // fallible twin is `try_touch`.
+        // Records written by build/evolve are well-formed; the fallible
+        // twin is `try_touch`.
         self.try_touch(pool, node)
-            .expect("stored tree node is well-formed")
+            .expect("stored tree node is well-formed") // PANIC-OK: infallible wrapper
     }
 
     /// Pages occupied by the stored tree.
@@ -481,7 +481,8 @@ mod tests {
 
     #[test]
     fn quantized_tree_shrinks_storage_and_preserves_join_results() {
-        use crate::tree_join::tree_join;
+        use crate::executor::JoinRequest;
+        use crate::tree_join::try_tree_join;
         use sj_gentree::rtree::{RTree, RTreeConfig};
         use sj_geom::{Polygon, ThetaOp};
 
@@ -526,10 +527,10 @@ mod tests {
         let theta = ThetaOp::WithinDistance(1.0);
         p.clear();
         p.reset_stats();
-        let exact = tree_join(&mut p, &re, &se, theta);
+        let exact = try_tree_join(&mut p, &re, &se, &JoinRequest::new(theta)).unwrap();
         p.clear();
         p.reset_stats();
-        let quant = tree_join(&mut p, &rq, &sq, theta);
+        let quant = try_tree_join(&mut p, &rq, &sq, &JoinRequest::new(theta)).unwrap();
         let (mut a, mut b) = (exact.pairs.clone(), quant.pairs.clone());
         a.sort_unstable();
         b.sort_unstable();

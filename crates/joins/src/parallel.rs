@@ -1,16 +1,17 @@
 //! Data-parallel join execution: PBSM-style partition-parallel
 //! filter-and-refine over `std::thread::scope`.
 //!
-//! [`partition_join`] grid-partitions both relations' MBRs into tiles,
+//! [`try_partition_join`] grid-partitions both relations' MBRs into tiles,
 //! fans tiles out to worker threads, runs Θ-filter + θ-refine per tile,
 //! and deduplicates pairs that share several tiles with the
 //! *reference-point rule*: a candidate pair is refined only in the tile
 //! containing the lower-left corner of the intersection of its (expanded)
 //! MBRs. The per-tile Θ-filter is a forward-scan plane sweep
 //! ([`sj_geom::sweep`]) rather than an all-pairs loop, so tile filter
-//! cost is `O(n log n + k)` in the tile size. [`parallel_tree_join`]
-//! parallelizes Algorithm JOIN by splitting at the top-level subtrees of
-//! the R generalization tree.
+//! cost is `O(n log n + k)` in the tile size. The multi-threaded
+//! [`try_tree_join`](crate::tree_join::try_tree_join) parallelizes
+//! Algorithm JOIN by splitting at the top-level subtrees of the R
+//! generalization tree.
 //!
 //! Cost-model accounting under concurrency:
 //!
@@ -36,11 +37,12 @@ use sj_geom::{Bounded, Geometry, Point, Rect, ThetaOp};
 use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
 
+use crate::executor::JoinRequest;
 use crate::paged_tree::TreeRelation;
 use crate::refine::MarginRefiner;
 use crate::relation::StoredRelation;
 use crate::stats::{ExecStats, JoinRun};
-use crate::tree_join::try_tree_join_traced;
+use crate::tree_join::tree_join_body;
 
 /// Degree of parallelism for the executors in this module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,75 +231,40 @@ struct TileOut {
     dur_us: u64,
 }
 
-/// PBSM-style parallel spatial join `R ⋈_θ S`.
+/// PBSM-style parallel spatial join `R ⋈_θ S` at
+/// [`JoinRequest::parallelism`] threads.
 ///
 /// Returns exactly the match set of
-/// [`nested_loop_join`](crate::nested_loop::nested_loop_join) (as a set;
-/// pair order follows tile order) for every `theta`, at any thread
+/// [`try_nested_loop_join`](crate::nested_loop::try_nested_loop_join)
+/// (as a set; pair order follows tile order) for every θ, at any thread
 /// count. See the module docs for the accounting guarantees.
-pub fn partition_join(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    par: Parallelism,
-) -> JoinRun {
-    partition_join_traced(pool, r, s, theta, par, &mut TraceSink::Null)
-}
-
-/// [`partition_join`] with phase instrumentation. The MBR scans and tile
-/// decomposition are the `partition` phase; the fanned-out Θ-filter
-/// sweeps are the `filter` phase; exact θ-tests plus lazy geometry
-/// fetches (worker-shard I/O included) are the `refine` phase. When the
-/// sink is live, each tile additionally emits a
-/// `partition_join/tile:<t>` span and each worker a
+///
+/// Phases: the MBR scans and tile decomposition are the `partition`
+/// phase; the fanned-out Θ-filter sweeps are the `filter` phase; exact
+/// θ-tests plus lazy geometry fetches (worker-shard I/O included) are
+/// the `refine` phase. When the sink is live, each tile additionally
+/// emits a `partition_join/tile:<t>` span and each worker a
 /// `partition_join/worker:<w>` span, in deterministic tile/worker order
 /// regardless of the thread count.
-pub fn partition_join_traced(
+///
+/// [`JoinRequest::kernel`] forces every tile's forward scan onto one
+/// kernel; `None` lets each tile auto-pick by its list sizes. Match sets
+/// and counters are identical for every choice.
+///
+/// The first storage fault — on the coordinator or any worker shard —
+/// aborts the run with a typed error. Workers stop at their first fault;
+/// the coordinator merges worker results in deterministic chunk order
+/// and reports the first chunk's error, so the surfaced error does not
+/// depend on thread scheduling.
+pub fn try_partition_join(
     pool: &mut BufferPool,
     r: &StoredRelation,
     s: &StoredRelation,
-    theta: ThetaOp,
-    par: Parallelism,
-    trace: &mut TraceSink,
-) -> JoinRun {
-    try_partition_join_traced(pool, r, s, theta, par, trace)
-        .unwrap_or_else(|e| panic!("partition join failed: {e}"))
-}
-
-/// Fail-stop [`partition_join_traced`]: the first storage fault — on the
-/// coordinator or any worker shard — aborts the run with a typed error.
-/// Workers stop at their first fault; the coordinator merges worker
-/// results in deterministic chunk order and reports the first chunk's
-/// error, so the surfaced error does not depend on thread scheduling.
-pub fn try_partition_join_traced(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    par: Parallelism,
-    trace: &mut TraceSink,
+    req: &JoinRequest,
 ) -> Result<JoinRun, StorageError> {
-    try_partition_join_with(pool, r, s, theta, par, trace, None)
-}
-
-/// [`try_partition_join_traced`] with an explicit per-tile sweep kernel:
-/// `Some(kernel)` forces every tile's forward scan onto that kernel,
-/// `None` lets each tile auto-pick by its list sizes (the default).
-/// Match sets and counters are identical for every choice — the knob
-/// exists for A/B measurement (`simd_scaling`).
-#[allow(clippy::too_many_arguments)]
-pub fn try_partition_join_with(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    par: Parallelism,
-    trace: &mut TraceSink,
-    kernel: Option<Kernel>,
-) -> Result<JoinRun, StorageError> {
+    let (theta, par, trace) = (req.theta, req.parallelism, &mut *req.trace.borrow_mut());
     match theta.filter_radius() {
-        Some(eps) => pbsm_join(pool, r, s, theta, par, eps, trace, kernel),
+        Some(eps) => pbsm_join(pool, r, s, theta, par, eps, trace, req.kernel),
         None => chunked_nested_loop(pool, r, s, theta, par, trace),
     }
 }
@@ -354,7 +321,7 @@ fn pbsm_join(
         .chain(s_mbrs.iter())
         .map(|(_, m)| *m)
         .reduce(|a, b| a.union(&b))
-        .expect("non-empty inputs");
+        .expect("non-empty inputs"); // PANIC-OK: both sides checked non-empty above
     let axis = tiles_per_axis(r_mbrs.len() + s_mbrs.len());
     let grid = TileGrid::new(world, axis, axis);
 
@@ -453,7 +420,7 @@ fn pbsm_join(
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("partition worker panicked"))
+                .map(|h| h.join().expect("partition worker panicked")) // PANIC-OK: propagates a worker panic
                 .collect::<Vec<_>>()
         });
         // Worker merge happens on the coordinator in spawn (= chunk)
@@ -632,7 +599,7 @@ fn process_tile(
 /// parallel. Each R tuple belongs to exactly one chunk, so no
 /// deduplication is needed; `theta_evals` totals `|R|·|S|` at every
 /// thread count. With one thread this is exactly
-/// [`nested_loop_join`](crate::nested_loop::nested_loop_join).
+/// [`try_nested_loop_join`](crate::nested_loop::try_nested_loop_join).
 fn chunked_nested_loop(
     pool: &mut BufferPool,
     r: &StoredRelation,
@@ -642,7 +609,7 @@ fn chunked_nested_loop(
     trace: &mut TraceSink,
 ) -> Result<JoinRun, StorageError> {
     if par.threads <= 1 {
-        return crate::nested_loop::try_nested_loop_join_traced(pool, r, s, theta, trace);
+        return crate::nested_loop::nested_loop_body(pool, r, s, theta, trace);
     }
     let mut timer = PhaseTimer::for_sink(trace);
     let timed = trace.is_enabled();
@@ -702,7 +669,7 @@ fn chunked_nested_loop(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("nested-loop worker panicked"))
+            .map(|h| h.join().expect("nested-loop worker panicked")) // PANIC-OK: propagates a worker panic
             .collect::<Vec<_>>()
     });
     // Coordinator-side merge in worker order: the first chunk's error
@@ -746,64 +713,45 @@ fn chunked_nested_loop(
     Ok(run)
 }
 
-/// Parallel Algorithm JOIN over two stored generalization trees: the
+/// Parallel Algorithm JOIN over two stored generalization trees, the
+/// body of [`try_tree_join`](crate::tree_join::try_tree_join): the
 /// independent subproblems `subtree(aᵢ) × subtree(root_S)` — one per
 /// top-level subtree `aᵢ` of R — run on worker threads via
-/// [`sj_gentree::join::join_pair`], each charging record-touch I/O to its
-/// own pool shard.
+/// [`sj_gentree::join::try_join_pair_flat`], each charging record-touch
+/// I/O to its own pool shard.
 ///
-/// Returns exactly the match set of [`tree_join`] (as a set). Falls back
-/// to the sequential [`tree_join`] byte-for-byte when `threads == 1`,
-/// when either root carries an application object (degenerate
-/// single-object trees), or when R's root has fewer than two subtrees to
-/// split.
-pub fn parallel_tree_join(
-    pool: &mut BufferPool,
-    r: &TreeRelation,
-    s: &TreeRelation,
-    theta: ThetaOp,
-    par: Parallelism,
-) -> JoinRun {
-    parallel_tree_join_traced(pool, r, s, theta, par, &mut TraceSink::Null)
-}
-
-/// [`parallel_tree_join`] with phase instrumentation: node touches (all
-/// worker-shard I/O included) are the `index-probe` phase, MBR filter
-/// gates the `filter` phase, exact θ-tests the `refine` phase. When the
-/// sink is live, each worker additionally emits a
+/// Returns exactly the match set of the sequential Algorithm JOIN (as a
+/// set), and falls back to it byte-for-byte when `threads == 1`, when
+/// either root carries an application object (degenerate single-object
+/// trees), or when R's root has fewer than two subtrees to split. Node
+/// touches (all worker-shard I/O included) are the `index-probe` phase,
+/// MBR filter gates the `filter` phase, exact θ-tests the `refine`
+/// phase; each worker additionally emits a
 /// `parallel_tree_join/worker:<w>` span in deterministic chunk order.
-pub fn parallel_tree_join_traced(
+/// The first faulted node touch — on the coordinator or any worker shard
+/// — aborts the run, with the same deterministic first-chunk-wins merge
+/// as [`try_partition_join`].
+pub(crate) fn parallel_tree_join_body(
     pool: &mut BufferPool,
     r: &TreeRelation,
     s: &TreeRelation,
     theta: ThetaOp,
     par: Parallelism,
-    trace: &mut TraceSink,
-) -> JoinRun {
-    try_parallel_tree_join_traced(pool, r, s, theta, par, trace)
-        .unwrap_or_else(|e| panic!("parallel tree join failed: {e}"))
-}
-
-/// Fail-stop [`parallel_tree_join_traced`]: the first faulted node touch
-/// — on the coordinator or any worker shard — aborts the run with a
-/// typed error, with the same deterministic first-chunk-wins merge as
-/// [`try_partition_join_traced`].
-pub fn try_parallel_tree_join_traced(
-    pool: &mut BufferPool,
-    r: &TreeRelation,
-    s: &TreeRelation,
-    theta: ThetaOp,
-    par: Parallelism,
+    kernel: Kernel,
     trace: &mut TraceSink,
 ) -> Result<JoinRun, StorageError> {
     let (root_r, root_s) = (r.tree.root(), s.tree.root());
     let top: Vec<_> = r.tree.children(root_r).to_vec();
+    let (flat_r, flat_s) = match kernel {
+        Kernel::Batched => (Some(&r.flat), Some(&s.flat)),
+        Kernel::Scalar => (None, None),
+    };
     if par.threads <= 1
         || r.tree.entry(root_r).is_some()
         || s.tree.entry(root_s).is_some()
         || top.len() < 2
     {
-        return try_tree_join_traced(pool, r, s, theta, trace);
+        return tree_join_body(pool, r, s, theta, kernel, trace);
     }
 
     let mut timer = PhaseTimer::for_sink(trace);
@@ -845,9 +793,9 @@ pub fn try_parallel_tree_join_traced(
                         for &a in chunk {
                             match sj_gentree::join::try_join_pair_flat(
                                 &r.tree,
-                                Some(&r.flat),
+                                flat_r,
                                 &s.tree,
-                                Some(&s.flat),
+                                flat_s,
                                 a,
                                 root_s,
                                 1,
@@ -887,7 +835,7 @@ pub fn try_parallel_tree_join_traced(
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("tree-join worker panicked"))
+                .map(|h| h.join().expect("tree-join worker panicked")) // PANIC-OK: propagates a worker panic
                 .collect::<Vec<_>>()
         });
         // Coordinator-side merge in spawn (= chunk) order keeps the
@@ -934,8 +882,8 @@ pub fn try_parallel_tree_join_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nested_loop::nested_loop_join;
-    use crate::tree_join::tree_join;
+    use crate::nested_loop::try_nested_loop_join;
+    use crate::tree_join::try_tree_join;
     use sj_gentree::rtree::{RTree, RTreeConfig};
     use sj_geom::Direction;
     use sj_storage::{Disk, DiskConfig, Layout};
@@ -947,6 +895,35 @@ mod tests {
     fn sorted(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
         v.sort_unstable();
         v
+    }
+
+    fn nested(
+        p: &mut BufferPool,
+        r: &StoredRelation,
+        s: &StoredRelation,
+        theta: ThetaOp,
+    ) -> JoinRun {
+        try_nested_loop_join(p, r, s, &JoinRequest::new(theta)).unwrap()
+    }
+
+    fn partition(
+        p: &mut BufferPool,
+        r: &StoredRelation,
+        s: &StoredRelation,
+        theta: ThetaOp,
+        par: Parallelism,
+    ) -> JoinRun {
+        try_partition_join(p, r, s, &JoinRequest::new(theta).with_parallelism(par)).unwrap()
+    }
+
+    fn tree(
+        p: &mut BufferPool,
+        r: &TreeRelation,
+        s: &TreeRelation,
+        theta: ThetaOp,
+        par: Parallelism,
+    ) -> JoinRun {
+        try_tree_join(p, r, s, &JoinRequest::new(theta).with_parallelism(par)).unwrap()
     }
 
     /// Deterministic mixed point/rect workload spread over the world.
@@ -987,10 +964,10 @@ mod tests {
             },
             ThetaOp::DirectionOf(Direction::NorthWest),
         ] {
-            let want = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+            let want = sorted(nested(&mut p, &r, &s, theta).pairs);
             for threads in [1, 2, 3, 8] {
                 let got = sorted(
-                    partition_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads)).pairs,
+                    partition(&mut p, &r, &s, theta, Parallelism::with_threads(threads)).pairs,
                 );
                 assert_eq!(got, want, "theta {theta:?} with {threads} threads");
             }
@@ -1003,9 +980,9 @@ mod tests {
         let r = mixed_rel(&mut p, 150, 0, 3);
         let s = mixed_rel(&mut p, 150, 5_000, 11);
         let theta = ThetaOp::WithinDistance(15.0);
-        let seq = partition_join(&mut p, &r, &s, theta, Parallelism::sequential());
+        let seq = partition(&mut p, &r, &s, theta, Parallelism::sequential());
         for threads in [2, 4, 8] {
-            let par = partition_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads));
+            let par = partition(&mut p, &r, &s, theta, Parallelism::with_threads(threads));
             assert_eq!(
                 par.stats.comparisons(),
                 seq.stats.comparisons(),
@@ -1047,9 +1024,9 @@ mod tests {
         let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
         let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
         let theta = ThetaOp::Overlaps;
-        let want = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+        let want = sorted(nested(&mut p, &r, &s, theta).pairs);
         for threads in [1, 4] {
-            let run = partition_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads));
+            let run = partition(&mut p, &r, &s, theta, Parallelism::with_threads(threads));
             let mut got = run.pairs.clone();
             let n_raw = got.len();
             got.sort_unstable();
@@ -1066,10 +1043,10 @@ mod tests {
         let r = mixed_rel(&mut p, 10, 0, 1);
         for threads in [1, 4] {
             let par = Parallelism::with_threads(threads);
-            assert!(partition_join(&mut p, &empty, &r, ThetaOp::Overlaps, par)
+            assert!(partition(&mut p, &empty, &r, ThetaOp::Overlaps, par)
                 .pairs
                 .is_empty());
-            assert!(partition_join(&mut p, &r, &empty, ThetaOp::Overlaps, par)
+            assert!(partition(&mut p, &r, &empty, ThetaOp::Overlaps, par)
                 .pairs
                 .is_empty());
         }
@@ -1094,12 +1071,10 @@ mod tests {
         let r = grid_tree(&mut p, 7, 10.0, 0);
         let s = grid_tree(&mut p, 7, 10.0, 1_000);
         for theta in [ThetaOp::WithinDistance(10.5), ThetaOp::Overlaps] {
-            let want = sorted(tree_join(&mut p, &r, &s, theta).pairs);
+            let want = sorted(tree(&mut p, &r, &s, theta, Parallelism::sequential()).pairs);
             for threads in [1, 2, 4] {
-                let got = sorted(
-                    parallel_tree_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads))
-                        .pairs,
-                );
+                let got =
+                    sorted(tree(&mut p, &r, &s, theta, Parallelism::with_threads(threads)).pairs);
                 assert_eq!(got, want, "theta {theta:?} with {threads} threads");
             }
         }
@@ -1112,7 +1087,7 @@ mod tests {
         let s = grid_tree(&mut p, 6, 10.0, 1_000);
         p.clear();
         p.reset_stats();
-        let run = parallel_tree_join(
+        let run = tree(
             &mut p,
             &r,
             &s,
@@ -1257,9 +1232,9 @@ mod tests {
         let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
         let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
         for theta in [ThetaOp::Overlaps, ThetaOp::WithinDistance(5.0)] {
-            let want = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+            let want = sorted(nested(&mut p, &r, &s, theta).pairs);
             for threads in [1, 2, 4] {
-                let run = partition_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads));
+                let run = partition(&mut p, &r, &s, theta, Parallelism::with_threads(threads));
                 let mut got = run.pairs.clone();
                 let n_raw = got.len();
                 got.sort_unstable();

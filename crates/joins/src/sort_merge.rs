@@ -2,7 +2,7 @@
 //!
 //! Two executors, reproducing both halves of the paper's argument:
 //!
-//! * [`zorder_overlap_join`] — the **positive exception**: for θ-operators
+//! * [`try_zorder_overlap_join`] — the **positive exception**: for θ-operators
 //!   whose Θ-filter is MBR overlap (`overlaps`, `includes`,
 //!   `contained in`), decomposing each object into z-elements (Orenstein
 //!   1986) and sort-merging the element lists yields a complete candidate
@@ -19,10 +19,11 @@ use std::collections::BTreeSet;
 use std::collections::HashSet;
 
 use sj_geom::{Bounded, Geometry, ThetaOp};
-use sj_obs::{Phase, PhaseTimer, TraceSink};
+use sj_obs::{Phase, PhaseTimer};
 use sj_storage::{BufferPool, StorageError};
 use sj_zorder::ZGrid;
 
+use crate::executor::JoinRequest;
 use crate::relation::StoredRelation;
 use crate::stats::{ExecStats, JoinRun};
 
@@ -37,48 +38,25 @@ pub fn supported_by_zorder(theta: ThetaOp) -> bool {
 
 /// Orenstein's sort-merge overlap join over z-element decompositions.
 ///
+/// Phases: the scans, z-decomposition, and sort are the `partition`
+/// phase; the merge sweep (whose duplicate reports land in `passes`) the
+/// `filter` phase; exact θ-tests on deduplicated candidates the `refine`
+/// phase. The first storage fault aborts the run with a typed error.
+///
 /// # Panics
 ///
-/// Panics if `theta` is not [`supported_by_zorder`] — the whole point of
-/// §2.2 is that this strategy exists *only* for overlap-family operators.
-pub fn zorder_overlap_join(
+/// Panics if `req.theta` is not [`supported_by_zorder`] — the whole
+/// point of §2.2 is that this strategy exists *only* for overlap-family
+/// operators. An unsupported operator is a logic error, not a storage
+/// fault; [`Strategy::supports`](crate::Strategy::supports) guards it.
+pub fn try_zorder_overlap_join(
     pool: &mut BufferPool,
     r: &StoredRelation,
     s: &StoredRelation,
     grid: &ZGrid,
-    theta: ThetaOp,
-) -> JoinRun {
-    zorder_overlap_join_traced(pool, r, s, grid, theta, &mut TraceSink::Null)
-}
-
-/// [`zorder_overlap_join`] with phase instrumentation: the scans,
-/// z-decomposition, and sort are the `partition` phase; the merge sweep
-/// (whose duplicate reports land in `passes`) the `filter` phase; exact
-/// θ-tests on deduplicated candidates the `refine` phase.
-pub fn zorder_overlap_join_traced(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    grid: &ZGrid,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
-) -> JoinRun {
-    try_zorder_overlap_join_traced(pool, r, s, grid, theta, trace)
-        .unwrap_or_else(|e| panic!("z-order merge join failed: {e}"))
-}
-
-/// Fail-stop [`zorder_overlap_join_traced`]: the first storage fault
-/// aborts the run with a typed error. Still panics on non-overlap
-/// operators — an unsupported operator is a logic error, not a storage
-/// fault.
-pub fn try_zorder_overlap_join_traced(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    grid: &ZGrid,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
+    req: &JoinRequest,
 ) -> Result<JoinRun, StorageError> {
+    let (theta, trace) = (req.theta, &mut *req.trace.borrow_mut());
     assert!(
         supported_by_zorder(theta),
         "sort-merge on z-order only supports overlap-family operators, got {theta:?}"
@@ -246,12 +224,31 @@ pub fn naive_zvalue_sort_merge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nested_loop::nested_loop_join;
+    use crate::nested_loop::try_nested_loop_join;
     use sj_geom::Rect;
     use sj_storage::{Disk, DiskConfig, Layout};
 
     fn pool() -> BufferPool {
         BufferPool::new(Disk::new(DiskConfig::paper()), 64)
+    }
+
+    fn nested(
+        p: &mut BufferPool,
+        r: &StoredRelation,
+        s: &StoredRelation,
+        theta: ThetaOp,
+    ) -> JoinRun {
+        try_nested_loop_join(p, r, s, &JoinRequest::new(theta)).unwrap()
+    }
+
+    fn zmerge(
+        p: &mut BufferPool,
+        r: &StoredRelation,
+        s: &StoredRelation,
+        grid: &ZGrid,
+        theta: ThetaOp,
+    ) -> JoinRun {
+        try_zorder_overlap_join(p, r, s, grid, &JoinRequest::new(theta)).unwrap()
     }
 
     fn rect_rel(pool: &mut BufferPool, rects: &[(f64, f64, f64, f64)], id0: u64) -> StoredRelation {
@@ -295,9 +292,9 @@ mod tests {
             100,
         );
         let grid = world_grid();
-        let mut got = zorder_overlap_join(&mut p, &r, &s, &grid, ThetaOp::Overlaps).pairs;
+        let mut got = zmerge(&mut p, &r, &s, &grid, ThetaOp::Overlaps).pairs;
         got.sort_unstable();
-        let mut want = nested_loop_join(&mut p, &r, &s, ThetaOp::Overlaps).pairs;
+        let mut want = nested(&mut p, &r, &s, ThetaOp::Overlaps).pairs;
         want.sort_unstable();
         assert_eq!(got, want);
     }
@@ -309,7 +306,7 @@ mod tests {
         let r = rect_rel(&mut p, &[(0.0, 0.0, 33.0, 33.0)], 0);
         let s = rect_rel(&mut p, &[(10.0, 10.0, 40.0, 40.0)], 100);
         let grid = world_grid();
-        let run = zorder_overlap_join(&mut p, &r, &s, &grid, ThetaOp::Overlaps);
+        let run = zmerge(&mut p, &r, &s, &grid, ThetaOp::Overlaps);
         assert_eq!(run.pairs, vec![(0, 100)]);
         // The raw merge reported the overlap many times (once per shared
         // z-element pairing), exactly as the paper warns.
@@ -331,9 +328,9 @@ mod tests {
             100,
         );
         let grid = world_grid();
-        let inc = zorder_overlap_join(&mut p, &r, &s, &grid, ThetaOp::Includes);
+        let inc = zmerge(&mut p, &r, &s, &grid, ThetaOp::Includes);
         assert_eq!(inc.pairs, vec![(0, 100)]);
-        let cont = zorder_overlap_join(&mut p, &r, &s, &grid, ThetaOp::ContainedIn);
+        let cont = zmerge(&mut p, &r, &s, &grid, ThetaOp::ContainedIn);
         assert!(cont.pairs.is_empty());
     }
 
@@ -344,7 +341,7 @@ mod tests {
         let r = rect_rel(&mut p, &[(0.0, 0.0, 1.0, 1.0)], 0);
         let s = rect_rel(&mut p, &[(2.0, 2.0, 3.0, 3.0)], 100);
         let grid = world_grid();
-        let _ = zorder_overlap_join(&mut p, &r, &s, &grid, ThetaOp::WithinDistance(5.0));
+        let _ = zmerge(&mut p, &r, &s, &grid, ThetaOp::WithinDistance(5.0));
     }
 
     #[test]
@@ -369,7 +366,7 @@ mod tests {
             100,
         );
         let theta = ThetaOp::Adjacent;
-        let complete = nested_loop_join(&mut p, &r, &s, theta).pairs;
+        let complete = nested(&mut p, &r, &s, theta).pairs;
         let naive = naive_zvalue_sort_merge(&mut p, &r, &s, &grid, theta, 1).pairs;
         assert!(
             naive.len() < complete.len(),
@@ -386,7 +383,7 @@ mod tests {
         let r = rect_rel(&mut p, &[(3.0, 0.0, 4.0, 1.0), (3.0, 3.0, 4.0, 4.0)], 0);
         let s = rect_rel(&mut p, &[(4.0, 0.0, 5.0, 1.0), (4.0, 3.0, 5.0, 4.0)], 100);
         let theta = ThetaOp::Adjacent;
-        let mut complete = nested_loop_join(&mut p, &r, &s, theta).pairs;
+        let mut complete = nested(&mut p, &r, &s, theta).pairs;
         complete.sort_unstable();
         let mut windowed = naive_zvalue_sort_merge(&mut p, &r, &s, &grid, theta, 1000).pairs;
         windowed.sort_unstable();

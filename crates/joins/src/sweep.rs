@@ -1,23 +1,24 @@
 //! Sequential plane-sweep join: the forward-scan filter of
 //! [`sj_geom::sweep`] applied to whole stored relations.
 //!
-//! [`sweep_join`] is strategy I's drop-in replacement for the filter
+//! [`try_sweep_join`] is strategy I's drop-in replacement for the filter
 //! step: one MBR-extraction scan per relation, one `O(n log n + k)`
 //! forward scan instead of the `O(n·m)` all-pairs Θ-filter, lazy
 //! geometry fetches for refinement. It has the same signature and
 //! returns exactly the same match set as
-//! [`nested_loop_join`](crate::nested_loop::nested_loop_join) for every
+//! [`try_nested_loop_join`](crate::nested_loop::try_nested_loop_join) for every
 //! θ-operator (property-tested), so the cost-model and bench layers can
 //! compare strategy I against the sweep directly. Directional predicates
-//! have unbounded Θ-filter regions ([`ThetaOp::filter_radius`] is
+//! have unbounded Θ-filter regions ([`sj_geom::ThetaOp::filter_radius`] is
 //! `None`) and fall back to the nested loop.
 
 use sj_geom::sweep::{sweep_candidates_with, Kernel, SweepItem};
-use sj_geom::{Bounded, Rect, ThetaOp, BATCH_MIN};
-use sj_obs::{Phase, PhaseTimer, TraceSink};
+use sj_geom::{Bounded, Rect, BATCH_MIN};
+use sj_obs::{Phase, PhaseTimer};
 use sj_storage::{BufferPool, StorageError};
 
-use crate::nested_loop::try_nested_loop_join_traced;
+use crate::executor::JoinRequest;
+use crate::nested_loop::nested_loop_body;
 use crate::refine::MarginRefiner;
 use crate::relation::StoredRelation;
 use crate::stats::{ExecStats, JoinRun};
@@ -28,68 +29,38 @@ use crate::stats::{ExecStats, JoinRun};
 /// x-intervals were examined), `theta_evals` exact refinements — the
 /// same units as the quadratic executors, so comparison counts are
 /// directly comparable.
-pub fn sweep_join(
+///
+/// Phases: MBR-extraction scans are the `partition` phase, forward-scan
+/// comparisons the `filter` phase, exact θ-tests plus their lazy
+/// geometry fetches the `refine` phase. (Filter and refine interleave
+/// during the sweep; the sweep's wall clock is charged to `filter`, its
+/// counters split exactly.)
+///
+/// [`JoinRequest::kernel`] pins the forward-scan kernel; `None`
+/// auto-picks the way [`sj_geom::sweep_candidates`] does (batched SoA
+/// scans once both sides clear the chunk threshold). Match sets and
+/// counters are identical for every kernel.
+///
+/// The first storage fault aborts the run with a typed error. A fault
+/// during the interleaved refine phase stops further fetches and
+/// discards the whole outcome (never a partial match set).
+pub fn try_sweep_join(
     pool: &mut BufferPool,
     r: &StoredRelation,
     s: &StoredRelation,
-    theta: ThetaOp,
-) -> JoinRun {
-    sweep_join_traced(pool, r, s, theta, &mut TraceSink::Null)
-}
-
-/// [`sweep_join`] with phase instrumentation: MBR-extraction scans are
-/// the `partition` phase, forward-scan comparisons the `filter` phase,
-/// exact θ-tests plus their lazy geometry fetches the `refine` phase.
-/// (Filter and refine interleave during the sweep; the sweep's wall
-/// clock is charged to `filter`, its counters split exactly.)
-pub fn sweep_join_traced(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
-) -> JoinRun {
-    try_sweep_join_traced(pool, r, s, theta, trace)
-        .unwrap_or_else(|e| panic!("sweep join failed: {e}"))
-}
-
-/// Fail-stop [`sweep_join_traced`]: the first storage fault aborts the
-/// run with a typed error. A fault during the interleaved refine phase
-/// stops further fetches and discards the whole outcome (never a partial
-/// match set).
-pub fn try_sweep_join_traced(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
+    req: &JoinRequest,
 ) -> Result<JoinRun, StorageError> {
-    // Auto-pick the forward-scan kernel the way sweep_candidates does:
-    // batched SoA scans once both sides clear the chunk threshold.
-    let kernel = if r.len().min(s.len()) < BATCH_MIN {
+    let kernel = req.kernel.unwrap_or(if r.len().min(s.len()) < BATCH_MIN {
         Kernel::Scalar
     } else {
         Kernel::Batched
-    };
-    try_sweep_join_with(pool, r, s, theta, trace, kernel)
-}
-
-/// [`try_sweep_join_traced`] with an explicit forward-scan kernel
-/// ([`Kernel::Scalar`] pins the per-pair scalar scan, [`Kernel::Batched`]
-/// the SoA mask scan). Identical match sets and counters either way —
-/// the knob exists for A/B measurement (`simd_scaling`).
-pub fn try_sweep_join_with(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
-    kernel: Kernel,
-) -> Result<JoinRun, StorageError> {
+    });
+    let theta = req.theta;
+    let trace = &mut *req.trace.borrow_mut();
     let Some(eps) = theta.filter_radius() else {
         // Unbounded (directional) filter region: no sweep interval
         // covers it; serve the operator with strategy I.
-        return try_nested_loop_join_traced(pool, r, s, theta, trace);
+        return nested_loop_body(pool, r, s, theta, trace);
     };
     let mut timer = PhaseTimer::for_sink(trace);
     let mut run = JoinRun::default();
@@ -183,8 +154,8 @@ pub fn try_sweep_join_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nested_loop::nested_loop_join;
-    use sj_geom::{Direction, Geometry, Point};
+    use crate::nested_loop::try_nested_loop_join;
+    use sj_geom::{Direction, Geometry, Point, ThetaOp};
     use sj_storage::{Disk, DiskConfig, Layout};
 
     fn pool(frames: usize) -> BufferPool {
@@ -194,6 +165,24 @@ mod tests {
     fn sorted(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
         v.sort_unstable();
         v
+    }
+
+    fn nested(
+        p: &mut BufferPool,
+        r: &StoredRelation,
+        s: &StoredRelation,
+        theta: ThetaOp,
+    ) -> JoinRun {
+        try_nested_loop_join(p, r, s, &JoinRequest::new(theta)).unwrap()
+    }
+
+    fn sweep(
+        p: &mut BufferPool,
+        r: &StoredRelation,
+        s: &StoredRelation,
+        theta: ThetaOp,
+    ) -> JoinRun {
+        try_sweep_join(p, r, s, &JoinRequest::new(theta)).unwrap()
     }
 
     /// Deterministic mixed point/rect workload spread over the world.
@@ -234,8 +223,8 @@ mod tests {
             },
             ThetaOp::DirectionOf(Direction::SouthEast),
         ] {
-            let want = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
-            let got = sorted(sweep_join(&mut p, &r, &s, theta).pairs);
+            let want = sorted(nested(&mut p, &r, &s, theta).pairs);
+            let got = sorted(sweep(&mut p, &r, &s, theta).pairs);
             assert_eq!(got, want, "theta {theta:?}");
         }
     }
@@ -246,8 +235,8 @@ mod tests {
         let r = mixed_rel(&mut p, 200, 0, 5);
         let s = mixed_rel(&mut p, 200, 10_000, 77);
         let theta = ThetaOp::Overlaps;
-        let nl = nested_loop_join(&mut p, &r, &s, theta);
-        let sw = sweep_join(&mut p, &r, &s, theta);
+        let nl = nested(&mut p, &r, &s, theta);
+        let sw = sweep(&mut p, &r, &s, theta);
         assert_eq!(sorted(nl.pairs), sorted(sw.pairs));
         assert!(
             sw.stats.comparisons() < nl.stats.comparisons() / 4,
@@ -275,7 +264,7 @@ mod tests {
             .collect();
         let r = StoredRelation::build(&mut p, &left, 300, Layout::Clustered);
         let s = StoredRelation::build(&mut p, &right, 300, Layout::Clustered);
-        let run = sweep_join(&mut p, &r, &s, ThetaOp::WithinDistance(5.0));
+        let run = sweep(&mut p, &r, &s, ThetaOp::WithinDistance(5.0));
         assert!(run.pairs.is_empty());
         assert_eq!(run.stats.theta_evals, 0);
     }
@@ -285,10 +274,10 @@ mod tests {
         let mut p = pool(16);
         let empty = StoredRelation::build(&mut p, &[], 300, Layout::Clustered);
         let r = mixed_rel(&mut p, 10, 0, 1);
-        assert!(sweep_join(&mut p, &empty, &r, ThetaOp::Overlaps)
+        assert!(sweep(&mut p, &empty, &r, ThetaOp::Overlaps)
             .pairs
             .is_empty());
-        assert!(sweep_join(&mut p, &r, &empty, ThetaOp::Overlaps)
+        assert!(sweep(&mut p, &r, &empty, ThetaOp::Overlaps)
             .pairs
             .is_empty());
     }

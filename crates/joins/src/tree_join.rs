@@ -9,6 +9,7 @@ use sj_geom::{Geometry, Kernel, ThetaOp};
 use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
 
+use crate::executor::JoinRequest;
 use crate::paged_tree::TreeRelation;
 use crate::stats::{ExecStats, JoinRun, SelectRun};
 
@@ -22,19 +23,8 @@ pub enum TraversalOrder {
 }
 
 /// Algorithm SELECT over a stored tree, charging one record read per node
-/// visit.
-pub fn tree_select(
-    pool: &mut BufferPool,
-    r: &TreeRelation,
-    o: &Geometry,
-    theta: ThetaOp,
-    order: TraversalOrder,
-) -> SelectRun {
-    try_tree_select(pool, r, o, theta, order).unwrap_or_else(|e| panic!("tree select failed: {e}"))
-}
-
-/// Fail-stop [`tree_select`]: the first faulted node touch aborts the
-/// run with a typed error (no partial match set).
+/// visit. The first faulted node touch aborts the run with a typed error
+/// (no partial match set).
 pub fn try_tree_select(
     pool: &mut BufferPool,
     r: &TreeRelation,
@@ -72,55 +62,49 @@ pub fn try_tree_select(
 /// Algorithm JOIN over two stored trees, charging record reads per node
 /// visit on both sides. Re-visits that hit the buffer pool are free, which
 /// is exactly the role the paper's memory-pass argument plays in `D_II`.
-pub fn tree_join(
+///
+/// Phases: node touches (the stored tree's record I/O) are the
+/// `index-probe` phase, Θ-filter work the `filter` phase, θ-evaluations
+/// the `refine` phase. With an observing sink, one
+/// `tree_join/level:<depth>` span per tree level reports the traversal's
+/// per-level visit and comparison histograms.
+///
+/// With more than one thread in [`JoinRequest::parallelism`] the
+/// top-level subtrees of R fan out to workers (see
+/// [`crate::parallel`]); the match set is the same at every thread
+/// count. [`JoinRequest::kernel`] picks the child-MBR filter: `Batched`
+/// (the default) probes both trees' flattened child-MBR snapshots
+/// through the SoA mask kernels, `Scalar` pins the per-child scalar
+/// filter loop. Both produce byte-identical pairs and counters.
+///
+/// The first faulted node touch on either side aborts the run with a
+/// typed error.
+pub fn try_tree_join(
     pool: &mut BufferPool,
     r: &TreeRelation,
     s: &TreeRelation,
-    theta: ThetaOp,
-) -> JoinRun {
-    tree_join_traced(pool, r, s, theta, &mut TraceSink::Null)
-}
-
-/// [`tree_join`] with phase instrumentation: node touches (the stored
-/// tree's record I/O) are the `index-probe` phase, Θ-filter work the
-/// `filter` phase, θ-evaluations the `refine` phase. With an observing
-/// sink, one `tree_join/level:<depth>` span per tree level reports the
-/// traversal's per-level visit and comparison histograms.
-pub fn tree_join_traced(
-    pool: &mut BufferPool,
-    r: &TreeRelation,
-    s: &TreeRelation,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
-) -> JoinRun {
-    try_tree_join_traced(pool, r, s, theta, trace)
-        .unwrap_or_else(|e| panic!("tree join failed: {e}"))
-}
-
-/// Fail-stop [`tree_join_traced`]: the first faulted node touch on
-/// either side aborts the run with a typed error.
-pub fn try_tree_join_traced(
-    pool: &mut BufferPool,
-    r: &TreeRelation,
-    s: &TreeRelation,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
+    req: &JoinRequest,
 ) -> Result<JoinRun, StorageError> {
-    try_tree_join_with(pool, r, s, theta, trace, Kernel::Batched)
+    crate::parallel::parallel_tree_join_body(
+        pool,
+        r,
+        s,
+        req.theta,
+        req.parallelism,
+        req.kernel.unwrap_or(Kernel::Batched),
+        &mut req.trace.borrow_mut(),
+    )
 }
 
-/// [`try_tree_join_traced`] with an explicit filter kernel: `Batched`
-/// probes both trees' flattened child-MBR snapshots through the SoA mask
-/// kernels, `Scalar` pins the per-child scalar filter loop. Both produce
-/// byte-identical pairs and counters — the knob exists for A/B
-/// measurement (`simd_scaling`).
-pub fn try_tree_join_with(
+/// Sequential Algorithm JOIN: the body of [`try_tree_join`] at one
+/// thread, and the parallel driver's fallback.
+pub(crate) fn tree_join_body(
     pool: &mut BufferPool,
     r: &TreeRelation,
     s: &TreeRelation,
     theta: ThetaOp,
-    trace: &mut TraceSink,
     kernel: Kernel,
+    trace: &mut TraceSink,
 ) -> Result<JoinRun, StorageError> {
     let mut timer = PhaseTimer::for_sink(trace);
     timer.enter(Phase::IndexProbe);
@@ -229,8 +213,12 @@ mod tests {
         let r = grid_tree(&mut p, 8, 10.0, 0, Layout::Clustered);
         let o = Geometry::Point(Point::new(35.0, 35.0));
         let theta = ThetaOp::WithinDistance(12.0);
-        let mut bfs = tree_select(&mut p, &r, &o, theta, TraversalOrder::BreadthFirst).matches;
-        let mut dfs = tree_select(&mut p, &r, &o, theta, TraversalOrder::DepthFirst).matches;
+        let mut bfs = try_tree_select(&mut p, &r, &o, theta, TraversalOrder::BreadthFirst)
+            .unwrap()
+            .matches;
+        let mut dfs = try_tree_select(&mut p, &r, &o, theta, TraversalOrder::DepthFirst)
+            .unwrap()
+            .matches;
         bfs.sort_unstable();
         dfs.sort_unstable();
         assert_eq!(bfs, dfs);
@@ -250,10 +238,10 @@ mod tests {
 
         pc.clear();
         pc.reset_stats();
-        let run_c = tree_select(&mut pc, &rc, &o, theta, TraversalOrder::BreadthFirst);
+        let run_c = try_tree_select(&mut pc, &rc, &o, theta, TraversalOrder::BreadthFirst).unwrap();
         pu.clear();
         pu.reset_stats();
-        let run_u = tree_select(&mut pu, &ru, &o, theta, TraversalOrder::BreadthFirst);
+        let run_u = try_tree_select(&mut pu, &ru, &o, theta, TraversalOrder::BreadthFirst).unwrap();
 
         assert_eq!(
             {
@@ -283,7 +271,7 @@ mod tests {
         let theta = ThetaOp::WithinDistance(10.5);
         p.clear();
         p.reset_stats();
-        let run = tree_join(&mut p, &r, &s, theta);
+        let run = try_tree_join(&mut p, &r, &s, &JoinRequest::new(theta)).unwrap();
         let mut got = run.pairs.clone();
         got.sort_unstable();
         let mut want = sj_gentree::join::join_exhaustive(&r.tree, &s.tree, theta).pairs;

@@ -14,10 +14,11 @@ use std::collections::HashSet;
 
 use sj_btree::BPlusTree;
 use sj_geom::{Bounded, Geometry, Rect, ThetaOp};
-use sj_obs::{Phase, PhaseTimer, TraceSink};
+use sj_obs::{Phase, PhaseTimer};
 use sj_storage::{BufferPool, StorageError};
 use sj_zorder::ZGrid;
 
+use crate::executor::JoinRequest;
 use crate::relation::StoredRelation;
 use crate::stats::{ExecStats, JoinRun, SelectRun};
 
@@ -32,13 +33,8 @@ pub struct ZIndex {
 
 impl ZIndex {
     /// Builds the index by scanning `rel` once and decomposing every
-    /// object's MBR on `grid`.
-    pub fn build(pool: &mut BufferPool, rel: &StoredRelation, grid: ZGrid, z: usize) -> Self {
-        Self::try_build(pool, rel, grid, z).unwrap_or_else(|e| panic!("z-index build failed: {e}"))
-    }
-
-    /// Fail-stop [`ZIndex::build`]: the first storage fault during the
-    /// build scan aborts with a typed error (no partially built index).
+    /// object's MBR on `grid`. The first storage fault during the build
+    /// scan aborts with a typed error (no partially built index).
     pub fn try_build(
         pool: &mut BufferPool,
         rel: &StoredRelation,
@@ -136,18 +132,6 @@ impl ZIndex {
     ///
     /// Panics for non-overlap-family operators (use the generalization
     /// tree for those).
-    pub fn select(
-        &self,
-        pool: &mut BufferPool,
-        rel: &StoredRelation,
-        o: &Geometry,
-        theta: ThetaOp,
-    ) -> SelectRun {
-        self.try_select(pool, rel, o, theta)
-            .unwrap_or_else(|e| panic!("z-index select failed: {e}"))
-    }
-
-    /// Fail-stop [`ZIndex::select`]; same operator-support panic.
     pub fn try_select(
         &self,
         pool: &mut BufferPool,
@@ -177,41 +161,25 @@ impl ZIndex {
     /// Index-supported join (§2.1's "scan the other relation and use the
     /// index to find matching tuples"): scans `s`, probing this index
     /// (built on `r`) per tuple.
-    pub fn join(
+    ///
+    /// Phases: the S-scan is the `partition` phase, B⁺-tree node
+    /// accesses the `index-probe` phase, candidate fetches plus θ-tests
+    /// the `refine` phase. The first storage fault aborts the run with a
+    /// typed error.
+    ///
+    /// # Panics
+    ///
+    /// Panics for non-overlap-family operators, like
+    /// [`ZIndex::try_select`]; [`Strategy::supports`](crate::Strategy::supports)
+    /// guards it.
+    pub fn try_join(
         &self,
         pool: &mut BufferPool,
         r: &StoredRelation,
         s: &StoredRelation,
-        theta: ThetaOp,
-    ) -> JoinRun {
-        self.join_traced(pool, r, s, theta, &mut TraceSink::Null)
-    }
-
-    /// [`join`](ZIndex::join) with phase instrumentation: the S-scan is
-    /// the `partition` phase, B⁺-tree node accesses the `index-probe`
-    /// phase, candidate fetches plus θ-tests the `refine` phase.
-    pub fn join_traced(
-        &self,
-        pool: &mut BufferPool,
-        r: &StoredRelation,
-        s: &StoredRelation,
-        theta: ThetaOp,
-        trace: &mut TraceSink,
-    ) -> JoinRun {
-        self.try_join_traced(pool, r, s, theta, trace)
-            .unwrap_or_else(|e| panic!("z-index join failed: {e}"))
-    }
-
-    /// Fail-stop [`join_traced`](ZIndex::join_traced); same operator-
-    /// support panic.
-    pub fn try_join_traced(
-        &self,
-        pool: &mut BufferPool,
-        r: &StoredRelation,
-        s: &StoredRelation,
-        theta: ThetaOp,
-        trace: &mut TraceSink,
+        req: &JoinRequest,
     ) -> Result<JoinRun, StorageError> {
+        let (theta, trace) = (req.theta, &mut *req.trace.borrow_mut());
         assert!(
             crate::sort_merge::supported_by_zorder(theta),
             "z-index join supports overlap-family operators only, got {theta:?}"
@@ -259,7 +227,7 @@ impl ZIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nested_loop::{exhaustive_select, nested_loop_join};
+    use crate::nested_loop::{try_exhaustive_select, try_nested_loop_join};
     use sj_geom::Point;
     use sj_storage::{Disk, DiskConfig, Layout};
 
@@ -300,7 +268,7 @@ mod tests {
     fn select_equals_exhaustive() {
         let mut p = pool();
         let rel = mixed_rel(&mut p, 0, 0.3);
-        let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
+        let idx = ZIndex::try_build(&mut p, &rel, ZGrid::new(world(), 5), 16).unwrap();
         for (x0, y0, x1, y1) in [
             (0.0, 0.0, 10.0, 10.0),
             (20.0, 20.0, 45.0, 30.0),
@@ -308,9 +276,14 @@ mod tests {
             (63.0, 63.0, 64.0, 64.0),
         ] {
             let o = Geometry::Rect(Rect::from_bounds(x0, y0, x1, y1));
-            let mut got = idx.select(&mut p, &rel, &o, ThetaOp::Overlaps).matches;
+            let mut got = idx
+                .try_select(&mut p, &rel, &o, ThetaOp::Overlaps)
+                .unwrap()
+                .matches;
             got.sort_unstable();
-            let mut want = exhaustive_select(&mut p, &rel, &o, ThetaOp::Overlaps).matches;
+            let mut want = try_exhaustive_select(&mut p, &rel, &o, ThetaOp::Overlaps)
+                .unwrap()
+                .matches;
             want.sort_unstable();
             assert_eq!(got, want, "window ({x0},{y0})-({x1},{y1})");
         }
@@ -321,10 +294,15 @@ mod tests {
         let mut p = pool();
         let r = mixed_rel(&mut p, 0, 0.0);
         let s = mixed_rel(&mut p, 1000, 3.0);
-        let idx = ZIndex::build(&mut p, &r, ZGrid::new(world(), 5), 16);
+        let idx = ZIndex::try_build(&mut p, &r, ZGrid::new(world(), 5), 16).unwrap();
         for theta in [ThetaOp::Overlaps, ThetaOp::Includes, ThetaOp::ContainedIn] {
-            let got = idx.join(&mut p, &r, &s, theta).pairs;
-            let mut want = nested_loop_join(&mut p, &r, &s, theta).pairs;
+            let got = idx
+                .try_join(&mut p, &r, &s, &JoinRequest::new(theta))
+                .unwrap()
+                .pairs;
+            let mut want = try_nested_loop_join(&mut p, &r, &s, &JoinRequest::new(theta))
+                .unwrap()
+                .pairs;
             want.sort_unstable();
             assert_eq!(got, want, "{theta:?}");
         }
@@ -339,10 +317,10 @@ mod tests {
             300,
             Layout::Clustered,
         );
-        let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
+        let idx = ZIndex::try_build(&mut p, &rel, ZGrid::new(world(), 5), 16).unwrap();
         assert!(idx.len() > 1, "big rect spans many z-elements");
         let o = Geometry::Rect(Rect::from_bounds(30.0, 30.0, 31.0, 31.0));
-        let run = idx.select(&mut p, &rel, &o, ThetaOp::Overlaps);
+        let run = idx.try_select(&mut p, &rel, &o, ThetaOp::Overlaps).unwrap();
         assert_eq!(run.matches, vec![7]);
         assert_eq!(run.stats.theta_evals, 1, "candidates must be deduplicated");
     }
@@ -351,10 +329,11 @@ mod tests {
     fn probe_outside_world_matches_nothing() {
         let mut p = pool();
         let rel = mixed_rel(&mut p, 0, 0.0);
-        let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
+        let idx = ZIndex::try_build(&mut p, &rel, ZGrid::new(world(), 5), 16).unwrap();
         let o = Geometry::Rect(Rect::from_bounds(100.0, 100.0, 110.0, 110.0));
         assert!(idx
-            .select(&mut p, &rel, &o, ThetaOp::Overlaps)
+            .try_select(&mut p, &rel, &o, ThetaOp::Overlaps)
+            .unwrap()
             .matches
             .is_empty());
     }
@@ -363,9 +342,9 @@ mod tests {
     fn candidate_set_prunes_vs_full_scan() {
         let mut p = pool();
         let rel = mixed_rel(&mut p, 0, 0.0);
-        let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
+        let idx = ZIndex::try_build(&mut p, &rel, ZGrid::new(world(), 5), 16).unwrap();
         let o = Geometry::Rect(Rect::from_bounds(0.0, 0.0, 9.0, 9.0));
-        let run = idx.select(&mut p, &rel, &o, ThetaOp::Overlaps);
+        let run = idx.try_select(&mut p, &rel, &o, ThetaOp::Overlaps).unwrap();
         assert!(
             run.stats.theta_evals < rel.len() as u64 / 2,
             "z-index should prune: {} of {}",
@@ -379,8 +358,8 @@ mod tests {
     fn distance_operator_rejected() {
         let mut p = pool();
         let rel = mixed_rel(&mut p, 0, 0.0);
-        let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
+        let idx = ZIndex::try_build(&mut p, &rel, ZGrid::new(world(), 5), 16).unwrap();
         let o = Geometry::Point(Point::new(1.0, 1.0));
-        let _ = idx.select(&mut p, &rel, &o, ThetaOp::WithinDistance(3.0));
+        let _ = idx.try_select(&mut p, &rel, &o, ThetaOp::WithinDistance(3.0));
     }
 }

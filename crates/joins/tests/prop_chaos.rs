@@ -90,7 +90,10 @@ fn reference(
     pool.set_fault_injector(None);
     let ops = operands(w);
     let mut exec = strategy.executor(&ops).expect("operands cover everything");
-    let mut pairs = exec.execute(&JoinRequest::new(theta), pool).pairs;
+    let mut pairs = exec
+        .try_execute(&JoinRequest::new(theta), pool)
+        .unwrap()
+        .pairs;
     pairs.sort_unstable();
     pairs
 }
@@ -160,13 +163,14 @@ fn select_paths_are_fail_stop_too() {
     let theta = ThetaOp::WithinDistance(15.0);
 
     pool.set_fault_injector(None);
-    let mut want = sj_joins::tree_join::tree_select(
+    let mut want = sj_joins::tree_join::try_tree_select(
         &mut pool,
         &w.r_tree,
         &probe,
         theta,
         sj_joins::tree_join::TraversalOrder::BreadthFirst,
     )
+    .unwrap()
     .matches;
     want.sort_unstable();
 

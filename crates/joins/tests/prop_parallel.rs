@@ -5,9 +5,9 @@
 
 use proptest::prelude::*;
 use sj_geom::{Geometry, Rect, ThetaOp};
-use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::parallel::{partition_join, Parallelism};
-use sj_joins::StoredRelation;
+use sj_joins::nested_loop::try_nested_loop_join;
+use sj_joins::parallel::{try_partition_join, Parallelism};
+use sj_joins::{JoinRequest, StoredRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 const WORLD: f64 = 128.0;
@@ -70,11 +70,13 @@ proptest! {
         let mut p = pool();
         let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
         let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
-        let reference = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+        let req = JoinRequest::new(theta);
+        let reference = sorted(try_nested_loop_join(&mut p, &r, &s, &req).unwrap().pairs);
 
-        let seq = partition_join(&mut p, &r, &s, theta, Parallelism::sequential());
+        let seq = try_partition_join(&mut p, &r, &s, &req).unwrap();
         for threads in THREADS {
-            let run = partition_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads));
+            let req = JoinRequest::new(theta).with_parallelism(Parallelism::with_threads(threads));
+            let run = try_partition_join(&mut p, &r, &s, &req).unwrap();
             // No duplicates: the reference-point rule must refine each
             // candidate pair in exactly one tile.
             let raw_len = run.pairs.len();

@@ -1,10 +1,10 @@
 //! Properties of the unified executor surface and the observability
 //! layer:
 //!
-//! 1. Every [`Strategy`] reachable through [`JoinExecutor::execute`]
-//!    returns exactly the legacy entry point's match set (and, for the
-//!    free-function strategies, its exact [`ExecStats`]) — the executors
-//!    are thin wrappers, not reimplementations.
+//! 1. Every [`Strategy`] reachable through [`JoinExecutor::try_execute`]
+//!    returns exactly the nested-loop reference match set (and, for the
+//!    free-function strategies, the exact [`ExecStats`] of their public
+//!    entry) — the executors are one-call shims, not reimplementations.
 //! 2. Per-phase [`PhaseStats`] deltas sum *exactly* to the run's
 //!    [`ExecStats`] totals, on every strategy × every θ-operator it
 //!    supports (the `seal` invariant).
@@ -18,10 +18,10 @@ use proptest::prelude::*;
 use proptest::Strategy as _;
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::{Direction, Geometry, Point, Rect, ThetaOp};
-use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::parallel::{partition_join, Parallelism};
-use sj_joins::sweep::sweep_join;
-use sj_joins::tree_join::tree_join;
+use sj_joins::nested_loop::try_nested_loop_join;
+use sj_joins::parallel::{try_partition_join, Parallelism};
+use sj_joins::sweep::try_sweep_join;
+use sj_joins::tree_join::try_tree_join;
 use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TraceSink, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
@@ -71,13 +71,19 @@ const ALL_THETAS: [ThetaOp; 8] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// Runs at one or two threads: the two-thread case drives the
+    /// partition workers and the parallel tree join with a live
+    /// `TraceSink::Vec`, pinning that each entry borrows `req.trace`
+    /// exactly once (a second borrow would panic at run time).
     #[test]
     fn executors_wrap_trace_and_phase_sum(
         r_tuples in arb_tuples(0),
         s_tuples in arb_tuples(10_000),
         theta_pick in 0usize..8,
+        threads in 1usize..=2,
     ) {
         let theta = ALL_THETAS[theta_pick];
+        let par = Parallelism::with_threads(threads);
         let world = Rect::from_bounds(0.0, 0.0, WORLD, WORLD);
         let mut p = pool();
         let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
@@ -98,7 +104,8 @@ proptest! {
 
         p.clear();
         p.reset_stats();
-        let reference = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+        let reference =
+            sorted(try_nested_loop_join(&mut p, &r, &s, &JoinRequest::new(theta)).unwrap().pairs);
 
         for strat in Strategy::ALL {
             if !strat.supports(theta) {
@@ -110,7 +117,9 @@ proptest! {
             // Untraced run.
             p.clear();
             p.reset_stats();
-            let run = exec.execute(&JoinRequest::new(theta), &mut p);
+            let run = exec
+                .try_execute(&JoinRequest::new(theta).with_parallelism(par), &mut p)
+                .unwrap();
 
             // Property 2: phase deltas sum exactly to run totals.
             prop_assert_eq!(
@@ -118,9 +127,7 @@ proptest! {
                 "phase sums diverge for {} under {:?}", strat.name(), theta
             );
 
-            // Property 1: same match set as the legacy surface (the
-            // nested-loop reference, which the legacy entry points are
-            // already property-tested against).
+            // Property 1: same match set as the nested-loop reference.
             prop_assert_eq!(
                 sorted(run.pairs.clone()), reference.clone(),
                 "{} diverges from reference for {:?}", strat.name(), theta
@@ -131,8 +138,10 @@ proptest! {
             let mut exec2 = strat.executor(&ops).expect("both operand kinds present");
             p.clear();
             p.reset_stats();
-            let req = JoinRequest::new(theta).with_trace(TraceSink::vec());
-            let traced = exec2.execute(&req, &mut p);
+            let req = JoinRequest::new(theta)
+                .with_parallelism(par)
+                .with_trace(TraceSink::vec());
+            let traced = exec2.try_execute(&req, &mut p).unwrap();
             prop_assert_eq!(&run.pairs, &traced.pairs, "{} trace perturbed pairs", strat.name());
             prop_assert_eq!(run.stats, traced.stats, "{} trace perturbed stats", strat.name());
             prop_assert_eq!(
@@ -153,7 +162,7 @@ proptest! {
     }
 
     /// The free-function strategies' executors reproduce not just the
-    /// match set but the *exact* `ExecStats` of their legacy twins.
+    /// match set but the *exact* `ExecStats` of their public entries.
     #[test]
     fn free_function_executors_preserve_exact_stats(
         r_tuples in arb_tuples(0),
@@ -179,24 +188,24 @@ proptest! {
         );
         let ops = JoinOperands::flat(&r, &s, world).with_trees(&tr, &ts);
 
-        type Legacy<'a> = Box<dyn FnMut(&mut BufferPool) -> sj_joins::JoinRun + 'a>;
-        let legacy_pairs: Vec<(Strategy, Legacy)> = vec![
-            (Strategy::NestedLoop, Box::new(|p: &mut BufferPool| nested_loop_join(p, &r, &s, theta))),
-            (Strategy::Sweep, Box::new(|p: &mut BufferPool| sweep_join(p, &r, &s, theta))),
-            (Strategy::Tree, Box::new(|p: &mut BufferPool| tree_join(p, &tr, &ts, theta))),
-            (Strategy::Partition, Box::new(|p: &mut BufferPool| {
-                partition_join(p, &r, &s, theta, Parallelism::sequential())
-            })),
+        let req = JoinRequest::new(theta);
+        type Entry<'a> =
+            Box<dyn FnMut(&mut BufferPool) -> Result<sj_joins::JoinRun, sj_storage::StorageError> + 'a>;
+        let entries: Vec<(Strategy, Entry)> = vec![
+            (Strategy::NestedLoop, Box::new(|p: &mut BufferPool| try_nested_loop_join(p, &r, &s, &req))),
+            (Strategy::Sweep, Box::new(|p: &mut BufferPool| try_sweep_join(p, &r, &s, &req))),
+            (Strategy::Tree, Box::new(|p: &mut BufferPool| try_tree_join(p, &tr, &ts, &req))),
+            (Strategy::Partition, Box::new(|p: &mut BufferPool| try_partition_join(p, &r, &s, &req))),
         ];
-        for (strat, mut legacy) in legacy_pairs {
+        for (strat, mut entry) in entries {
             p.clear();
             p.reset_stats();
-            let want = legacy(&mut p);
+            let want = entry(&mut p).unwrap();
 
             let mut exec = strat.executor(&ops).expect("operands present");
             p.clear();
             p.reset_stats();
-            let got = exec.execute(&JoinRequest::new(theta), &mut p);
+            let got = exec.try_execute(&req, &mut p).unwrap();
             prop_assert_eq!(&got.pairs, &want.pairs, "{} pairs diverge", strat.name());
             prop_assert_eq!(got.stats, want.stats, "{} stats diverge", strat.name());
         }

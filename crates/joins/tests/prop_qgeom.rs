@@ -21,10 +21,10 @@ use proptest::Strategy as _;
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::codec::{encode_qrecord, encoded_qlen, try_decode_qrecord};
 use sj_geom::{Bounded, Direction, Geometry, Point, Polygon, Polyline, QGeometry, Rect, ThetaOp};
-use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::parallel::{partition_join, Parallelism};
-use sj_joins::sweep::sweep_join;
-use sj_joins::tree_join::tree_join;
+use sj_joins::nested_loop::try_nested_loop_join;
+use sj_joins::parallel::{try_partition_join, Parallelism};
+use sj_joins::sweep::try_sweep_join;
+use sj_joins::tree_join::try_tree_join;
 use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
@@ -210,14 +210,15 @@ proptest! {
 
         p.clear();
         p.reset_stats();
-        let reference = sorted(nested_loop_join(&mut p, &re, &se, theta).pairs);
+        let req = JoinRequest::new(theta);
+        let reference = sorted(try_nested_loop_join(&mut p, &re, &se, &req).unwrap().pairs);
 
         // Sweep: exact vs compressed, byte-identical with the margin
         // ledger balancing the full θ-charge.
         p.clear();
-        let exact = sweep_join(&mut p, &re, &se, theta);
+        let exact = try_sweep_join(&mut p, &re, &se, &req).unwrap();
         p.clear();
-        let comp = sweep_join(&mut p, &rc, &sc, theta);
+        let comp = try_sweep_join(&mut p, &rc, &sc, &req).unwrap();
         prop_assert_eq!(&exact.pairs, &comp.pairs, "sweep diverges under {:?}", theta);
         prop_assert_eq!(sorted(comp.pairs.clone()), reference.clone());
         prop_assert_eq!(exact.stats.theta_evals, comp.stats.theta_evals);
@@ -236,10 +237,11 @@ proptest! {
         // Partition at several worker counts: identical pairs and
         // θ-charge, decode work never exceeding the charge.
         for threads in [1usize, 2, 3] {
+            let req = JoinRequest::new(theta).with_parallelism(Parallelism::with_threads(threads));
             p.clear();
-            let pe = partition_join(&mut p, &re, &se, theta, Parallelism::with_threads(threads));
+            let pe = try_partition_join(&mut p, &re, &se, &req).unwrap();
             p.clear();
-            let pc = partition_join(&mut p, &rc, &sc, theta, Parallelism::with_threads(threads));
+            let pc = try_partition_join(&mut p, &rc, &sc, &req).unwrap();
             prop_assert_eq!(
                 &pe.pairs, &pc.pairs,
                 "partition({threads}) diverges under {:?}", theta
@@ -252,9 +254,9 @@ proptest! {
         // in-memory generalization tree, so the record codec may only
         // shrink I/O — never perturb matches or the θ-charge.
         p.clear();
-        let je = tree_join(&mut p, &te_r, &te_s, theta);
+        let je = try_tree_join(&mut p, &te_r, &te_s, &req).unwrap();
         p.clear();
-        let jc = tree_join(&mut p, &tc_r, &tc_s, theta);
+        let jc = try_tree_join(&mut p, &tc_r, &tc_s, &req).unwrap();
         prop_assert_eq!(&je.pairs, &jc.pairs, "tree join diverges under {:?}", theta);
         prop_assert_eq!(je.stats.theta_evals, jc.stats.theta_evals);
 
@@ -268,7 +270,7 @@ proptest! {
             let mut exec = strat.executor(&ops).expect("operands present");
             p.clear();
             p.reset_stats();
-            let run = exec.execute(&JoinRequest::new(theta), &mut p);
+            let run = exec.try_execute(&req, &mut p).unwrap();
             prop_assert_eq!(
                 run.phases.total(), run.stats,
                 "phase sums diverge for compressed {} under {:?}", strat.name(), theta

@@ -5,11 +5,11 @@
 use proptest::prelude::*;
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::{Geometry, Point, Rect, ThetaOp};
-use sj_joins::grid::{grid_join, GridConfig};
-use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::sort_merge::zorder_overlap_join;
-use sj_joins::tree_join::tree_join;
-use sj_joins::{JoinIndex, StoredRelation, TreeRelation};
+use sj_joins::grid::{try_grid_join, GridConfig};
+use sj_joins::nested_loop::try_nested_loop_join;
+use sj_joins::sort_merge::try_zorder_overlap_join;
+use sj_joins::tree_join::try_tree_join;
+use sj_joins::{JoinIndex, JoinRequest, StoredRelation, TraceSink, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 use sj_zorder::ZGrid;
 
@@ -67,7 +67,8 @@ proptest! {
             Layout::Unclustered { seed: layout_seed },
         );
 
-        let reference = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+        let req = JoinRequest::new(theta);
+        let reference = sorted(try_nested_loop_join(&mut p, &r, &s, &req).unwrap().pairs);
 
         // Strategy II (both layouts) over bulk-loaded R-trees.
         for layout in [Layout::Clustered, Layout::Unclustered { seed: layout_seed }] {
@@ -83,23 +84,23 @@ proptest! {
                 300,
                 layout,
             );
-            let got = sorted(tree_join(&mut p, &tr, &ts, theta).pairs);
+            let got = sorted(try_tree_join(&mut p, &tr, &ts, &req).unwrap().pairs);
             prop_assert_eq!(&got, &reference, "tree join ({:?}) diverges for {:?}", layout, theta);
         }
 
         // Strategy III.
-        let (idx, _) = JoinIndex::build(&mut p, &r, &s, theta, 8);
-        let got = sorted(idx.join(&mut p, &r, &s).pairs);
+        let (idx, _) = JoinIndex::try_build(&mut p, &r, &s, theta, 8).unwrap();
+        let got = sorted(idx.try_join(&mut p, &r, &s, &mut TraceSink::Null).unwrap().pairs);
         prop_assert_eq!(&got, &reference, "join index diverges for {:?}", theta);
 
         // Z-order sort-merge and z-value index, where applicable.
         if sj_joins::sort_merge::supported_by_zorder(theta) {
             let grid = ZGrid::new(Rect::from_bounds(0.0, 0.0, WORLD, WORLD), 5);
-            let got = sorted(zorder_overlap_join(&mut p, &r, &s, &grid, theta).pairs);
+            let got = sorted(try_zorder_overlap_join(&mut p, &r, &s, &grid, &req).unwrap().pairs);
             prop_assert_eq!(&got, &reference, "z-order sort-merge diverges for {:?}", theta);
 
-            let idx = sj_joins::ZIndex::build(&mut p, &r, grid, 16);
-            let got = sorted(idx.join(&mut p, &r, &s, theta).pairs);
+            let idx = sj_joins::ZIndex::try_build(&mut p, &r, grid, 16).unwrap();
+            let got = sorted(idx.try_join(&mut p, &r, &s, &req).unwrap().pairs);
             prop_assert_eq!(&got, &reference, "z-index join diverges for {:?}", theta);
         }
 
@@ -117,8 +118,8 @@ proptest! {
                 300,
                 Layout::Clustered,
             );
-            let (idx, _) = sj_joins::LocalJoinIndex::build(&mut p, &tr, &ts, theta, level, 16);
-            let got = idx.join(&mut p).pairs;
+            let (idx, _) = sj_joins::LocalJoinIndex::try_build(&mut p, &tr, &ts, theta, level, 16).unwrap();
+            let got = idx.try_join(&mut p, &mut TraceSink::Null).unwrap().pairs;
             prop_assert_eq!(&got, &reference, "local join index (L={}) diverges for {:?}", level, theta);
         }
 
@@ -128,7 +129,7 @@ proptest! {
             nx: 8,
             ny: 8,
         };
-        let got = sorted(grid_join(&mut p, &r, &s, cfg, theta).pairs);
+        let got = sorted(try_grid_join(&mut p, &r, &s, cfg, &req).unwrap().pairs);
         prop_assert_eq!(&got, &reference, "grid join diverges for {:?}", theta);
     }
 
@@ -145,7 +146,7 @@ proptest! {
 
         // Incremental: build on R, then insert one more R tuple.
         let r_small = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
-        let (mut idx, _) = JoinIndex::build(&mut p, &r_small, &s, theta, 8);
+        let (mut idx, _) = JoinIndex::try_build(&mut p, &r_small, &s, theta, 8).unwrap();
         let new_id = 5_000u64;
         idx.maintain_insert_r(&mut p, new_id, &extra, &s);
 
@@ -153,10 +154,10 @@ proptest! {
         let mut r_all_tuples = r_tuples.clone();
         r_all_tuples.push((new_id, extra.clone()));
         let r_all = StoredRelation::build(&mut p, &r_all_tuples, 300, Layout::Clustered);
-        let (idx_fresh, _) = JoinIndex::build(&mut p, &r_all, &s, theta, 8);
+        let (idx_fresh, _) = JoinIndex::try_build(&mut p, &r_all, &s, theta, 8).unwrap();
 
-        let a = sorted(idx.join(&mut p, &r_all, &s).pairs);
-        let b = sorted(idx_fresh.join(&mut p, &r_all, &s).pairs);
+        let a = sorted(idx.try_join(&mut p, &r_all, &s, &mut TraceSink::Null).unwrap().pairs);
+        let b = sorted(idx_fresh.try_join(&mut p, &r_all, &s, &mut TraceSink::Null).unwrap().pairs);
         prop_assert_eq!(a, b);
     }
 }

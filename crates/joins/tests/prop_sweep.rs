@@ -3,7 +3,7 @@
 //! 1. the forward-scan kernel emits **exactly** the candidate set a
 //!    quadratic Θ-filter loop produces, for every bounded-filter
 //!    θ-operator, on arbitrary rectangle workloads;
-//! 2. the sequential [`sweep_join`] executor returns exactly the
+//! 2. the sequential [`try_sweep_join`] executor returns exactly the
 //!    nested-loop reference match set for **every** θ-operator
 //!    (directional operators exercise the fallback path);
 //! 3. the sweep never examines more pairs than the quadratic filter
@@ -13,11 +13,9 @@ use proptest::prelude::*;
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::sweep::{sweep_candidates, sweep_candidates_with, Kernel, SweepItem};
 use sj_geom::{Direction, Geometry, Rect, ThetaOp};
-use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::parallel::try_partition_join_with;
-use sj_joins::sweep::{sweep_join, try_sweep_join_with};
-use sj_joins::tree_join::try_tree_join_with;
-use sj_joins::{Parallelism, StoredRelation, TraceSink, TreeRelation};
+use sj_joins::nested_loop::try_nested_loop_join;
+use sj_joins::sweep::try_sweep_join;
+use sj_joins::{JoinOperands, JoinRequest, StoredRelation, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 const WORLD: f64 = 128.0;
@@ -138,9 +136,10 @@ proptest! {
         let mut p = pool();
         let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
         let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
-        let reference = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+        let req = JoinRequest::new(theta);
+        let reference = sorted(try_nested_loop_join(&mut p, &r, &s, &req).unwrap().pairs);
 
-        let run = sweep_join(&mut p, &r, &s, theta);
+        let run = try_sweep_join(&mut p, &r, &s, &req).unwrap();
         let raw_len = run.pairs.len();
         let got = sorted(run.pairs);
         prop_assert_eq!(raw_len, got.len(), "duplicates for {:?}", theta);
@@ -216,10 +215,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Pinning an executor's kernel must not change any observable:
-    /// sweep-join, partition-join, and tree-join runs return identical
-    /// match sequences and comparison counters under `Scalar` and
-    /// `Batched` on arbitrary stored relations.
+    /// Pinning an executor's kernel through `JoinRequest::kernel` must
+    /// not change any observable: sweep-join, partition-join, and
+    /// tree-join runs return identical match sequences and comparison
+    /// counters under `Scalar` and `Batched` on arbitrary stored
+    /// relations.
     #[test]
     fn executors_are_kernel_invariant(
         r_tuples in arb_tuples(0),
@@ -230,44 +230,6 @@ proptest! {
         let mut p = pool();
         let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
         let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
-
-        let sweep: Vec<_> = [Kernel::Scalar, Kernel::Batched]
-            .iter()
-            .map(|&k| {
-                try_sweep_join_with(&mut p, &r, &s, theta, &mut TraceSink::Null, k)
-                    .expect("in-memory disk cannot fault")
-            })
-            .collect();
-        prop_assert_eq!(&sweep[0].pairs, &sweep[1].pairs, "sweep join {:?}", theta);
-        prop_assert_eq!(
-            sweep[0].stats.comparisons(),
-            sweep[1].stats.comparisons(),
-            "sweep comparisons {:?}",
-            theta
-        );
-
-        let part: Vec<_> = [Kernel::Scalar, Kernel::Batched]
-            .iter()
-            .map(|&k| {
-                try_partition_join_with(
-                    &mut p,
-                    &r,
-                    &s,
-                    theta,
-                    Parallelism { threads: 1 },
-                    &mut TraceSink::Null,
-                    Some(k),
-                )
-                .expect("in-memory disk cannot fault")
-            })
-            .collect();
-        prop_assert_eq!(&part[0].pairs, &part[1].pairs, "partition join {:?}", theta);
-        prop_assert_eq!(
-            part[0].stats.comparisons(),
-            part[1].stats.comparisons(),
-            "partition comparisons {:?}",
-            theta
-        );
 
         let tr = TreeRelation::new(
             &mut p,
@@ -285,19 +247,28 @@ proptest! {
             300,
             Layout::Clustered,
         );
-        let tree: Vec<_> = [Kernel::Scalar, Kernel::Batched]
-            .iter()
-            .map(|&k| {
-                try_tree_join_with(&mut p, &tr, &ts, theta, &mut TraceSink::Null, k)
-                    .expect("in-memory disk cannot fault")
-            })
-            .collect();
-        prop_assert_eq!(&tree[0].pairs, &tree[1].pairs, "tree join {:?}", theta);
-        prop_assert_eq!(
-            tree[0].stats.comparisons(),
-            tree[1].stats.comparisons(),
-            "tree comparisons {:?}",
-            theta
-        );
+        let world = Rect::from_bounds(0.0, 0.0, WORLD, WORLD);
+        let ops = JoinOperands::flat(&r, &s, world).with_trees(&tr, &ts);
+        for strategy in [sj_joins::Strategy::Sweep, sj_joins::Strategy::Partition, sj_joins::Strategy::Tree] {
+            let runs: Vec<_> = [Kernel::Scalar, Kernel::Batched]
+                .iter()
+                .map(|&k| {
+                    let req = JoinRequest { kernel: Some(k), ..JoinRequest::new(theta) };
+                    strategy
+                        .executor(&ops)
+                        .expect("flat and tree operands present")
+                        .try_execute(&req, &mut p)
+                        .expect("in-memory disk cannot fault")
+                })
+                .collect();
+            prop_assert_eq!(&runs[0].pairs, &runs[1].pairs, "{} join {:?}", strategy.name(), theta);
+            prop_assert_eq!(
+                runs[0].stats.comparisons(),
+                runs[1].stats.comparisons(),
+                "{} comparisons {:?}",
+                strategy.name(),
+                theta
+            );
+        }
     }
 }

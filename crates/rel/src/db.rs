@@ -479,7 +479,8 @@ impl Database {
         let pool = &mut self.pool;
         let r = &self.tables[r_table].spatial[r_col].column;
         let s = &self.tables[s_table].spatial[s_col].column;
-        let (idx, stats) = JoinIndex::build(pool, r, s, theta, 100);
+        let (idx, stats) =
+            JoinIndex::try_build(pool, r, s, theta, 100).expect("storage fault during index build");
         self.join_indices.insert(
             name.to_string(),
             (
@@ -523,7 +524,8 @@ impl Database {
             .index
             .as_ref()
             .expect("built above");
-        let (idx, stats) = LocalJoinIndex::build(pool, r_tree, s_tree, theta, level, 100);
+        let (idx, stats) = LocalJoinIndex::try_build(pool, r_tree, s_tree, theta, level, 100)
+            .expect("storage fault during index build");
         self.local_join_indices.insert(
             name.to_string(),
             (

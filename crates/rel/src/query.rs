@@ -1,10 +1,11 @@
 //! Spatial query operators: selection and join with pluggable strategies.
 
 use sj_geom::{Bounded, Geometry, Rect, ThetaOp};
-use sj_joins::grid::{grid_join, GridConfig};
-use sj_joins::nested_loop::{exhaustive_select, nested_loop_join};
-use sj_joins::sort_merge::zorder_overlap_join;
-use sj_joins::tree_join::{tree_join, tree_select, TraversalOrder};
+use sj_joins::grid::{try_grid_join, GridConfig};
+use sj_joins::nested_loop::{try_exhaustive_select, try_nested_loop_join};
+use sj_joins::sort_merge::try_zorder_overlap_join;
+use sj_joins::tree_join::{try_tree_join, try_tree_select, TraversalOrder};
+use sj_joins::{JoinRequest, TraceSink};
 use sj_zorder::ZGrid;
 
 use crate::db::Database;
@@ -69,11 +70,11 @@ impl Database {
         theta: ThetaOp,
         strategy: SelectStrategy,
     ) -> Vec<(u64, Tuple)> {
-        let rowids: Vec<u64> = match strategy {
+        let run = match strategy {
             SelectStrategy::Exhaustive => {
                 let pool = &mut self.pool;
                 let col = &self.tables[table].spatial[column].column;
-                exhaustive_select(pool, col, o, theta).matches
+                try_exhaustive_select(pool, col, o, theta)
             }
             SelectStrategy::Tree | SelectStrategy::TreeDepthFirst => {
                 self.ensure_index(table, column);
@@ -87,10 +88,11 @@ impl Database {
                     .index
                     .as_ref()
                     .expect("ensure_index builds the index");
-                tree_select(pool, tree_rel, o, theta, order).matches
+                try_tree_select(pool, tree_rel, o, theta, order)
             }
         };
-        rowids
+        run.expect("storage fault during select")
+            .matches
             .into_iter()
             .map(|id| (id, self.get(table, id)))
             .collect()
@@ -126,12 +128,13 @@ impl Database {
         theta: ThetaOp,
         strategy: JoinStrategy,
     ) -> Vec<(u64, u64)> {
-        match strategy {
+        let req = JoinRequest::new(theta);
+        let run = match strategy {
             JoinStrategy::NestedLoop => {
                 let pool = &mut self.pool;
                 let r = &self.tables[r_table].spatial[r_col].column;
                 let s = &self.tables[s_table].spatial[s_col].column;
-                nested_loop_join(pool, r, s, theta).pairs
+                try_nested_loop_join(pool, r, s, &req)
             }
             JoinStrategy::GenTree => {
                 self.ensure_index(r_table, r_col);
@@ -145,7 +148,7 @@ impl Database {
                     .index
                     .as_ref()
                     .expect("built above");
-                tree_join(pool, r_tree, s_tree, theta).pairs
+                try_tree_join(pool, r_tree, s_tree, &req)
             }
             JoinStrategy::JoinIndex { name } => {
                 let (idx, ir, ic, is, isc) = self
@@ -159,7 +162,7 @@ impl Database {
                 let pool = &mut self.pool;
                 let r = &self.tables[r_table].spatial[r_col].column;
                 let s = &self.tables[s_table].spatial[s_col].column;
-                idx.join(pool, r, s).pairs
+                idx.try_join(pool, r, s, &mut TraceSink::Null)
             }
             JoinStrategy::LocalJoinIndex { name } => {
                 let (idx, ir, ic, is, isc) = self
@@ -171,7 +174,7 @@ impl Database {
                     "local join index {name:?} was built for {ir}.{ic} ⋈ {is}.{isc}"
                 );
                 let pool = &mut self.pool;
-                idx.join(pool).pairs
+                idx.try_join(pool, &mut TraceSink::Null)
             }
             JoinStrategy::ZOrderSortMerge { bits } => {
                 let world = self.data_world(&[(r_table, r_col), (s_table, s_col)]);
@@ -179,16 +182,17 @@ impl Database {
                 let r = &self.tables[r_table].spatial[r_col].column;
                 let s = &self.tables[s_table].spatial[s_col].column;
                 let grid = ZGrid::new(world, bits);
-                zorder_overlap_join(pool, r, s, &grid, theta).pairs
+                try_zorder_overlap_join(pool, r, s, &grid, &req)
             }
             JoinStrategy::Grid { nx, ny } => {
                 let world = self.data_world(&[(r_table, r_col), (s_table, s_col)]);
                 let pool = &mut self.pool;
                 let r = &self.tables[r_table].spatial[r_col].column;
                 let s = &self.tables[s_table].spatial[s_col].column;
-                grid_join(pool, r, s, GridConfig { world, nx, ny }, theta).pairs
+                try_grid_join(pool, r, s, GridConfig { world, nx, ny }, &req)
             }
-        }
+        };
+        run.expect("storage fault during join").pairs
     }
 
     /// The bounding rectangle of all geometries in the given spatial

@@ -29,7 +29,7 @@
 //! halo-induced multi-assignment duplicates reproduces the single-node
 //! result exactly. Predicates a spatial partition cannot localize
 //! (directional operators, distance bounds beyond the halo) route to a
-//! whole-world fallback shard instead — the same reason `grid_join`
+//! whole-world fallback shard instead — the same reason `try_grid_join`
 //! rejects directional θ.
 //!
 //! ## Skew

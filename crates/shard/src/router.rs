@@ -320,7 +320,7 @@ impl ShardRouter {
                     Some(eps) if eps <= self.halo => Ok((0..self.plan.len()).collect()),
                     // Radius beyond the halo (or unbounded): the tile
                     // coverage proof no longer applies; route to the
-                    // whole-world shard — the same reason grid_join
+                    // whole-world shard — the same reason try_grid_join
                     // rejects directional θ.
                     _ => {
                         self.fallback_queries.fetch_add(1, Ordering::Relaxed);

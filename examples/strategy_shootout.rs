@@ -10,11 +10,12 @@ use spatial_joins::core::{
     ZGrid,
 };
 use spatial_joins::gentree::rtree::{RTree, RTreeConfig};
-use spatial_joins::joins::grid::{grid_join, GridConfig};
-use spatial_joins::joins::nested_loop::nested_loop_join;
-use spatial_joins::joins::sort_merge::zorder_overlap_join;
-use spatial_joins::joins::tree_join::tree_join;
-use spatial_joins::joins::ExecStats;
+use spatial_joins::joins::grid::{try_grid_join, GridConfig};
+use spatial_joins::joins::nested_loop::try_nested_loop_join;
+use spatial_joins::joins::sort_merge::try_zorder_overlap_join;
+use spatial_joins::joins::tree_join::try_tree_join;
+use spatial_joins::joins::{ExecStats, JoinRequest, TraceSink};
+use spatial_joins::storage::StorageError;
 
 const WORLD: f64 = 1000.0;
 const MEM_PAGES: usize = 64;
@@ -35,7 +36,7 @@ fn row(label: &str, pairs: usize, s: &ExecStats) {
     );
 }
 
-fn main() {
+fn main() -> Result<(), StorageError> {
     let world = Rect::from_bounds(0.0, 0.0, WORLD, WORLD);
     let r_tuples = generate(
         &WorkloadSpec {
@@ -75,7 +76,8 @@ fn main() {
     let s = StoredRelation::build(&mut p, &s_tuples, RECORD, Layout::Clustered);
     p.clear();
     p.reset_stats();
-    let nl = nested_loop_join(&mut p, &r, &s, theta);
+    let req = JoinRequest::new(theta);
+    let nl = try_nested_loop_join(&mut p, &r, &s, &req)?;
     row("I   nested loop", nl.pairs.len(), &nl.stats);
     let reference = {
         let mut v = nl.pairs.clone();
@@ -110,7 +112,7 @@ fn main() {
         );
         p.clear();
         p.reset_stats();
-        let run = tree_join(&mut p, &tr, &ts, theta);
+        let run = try_tree_join(&mut p, &tr, &ts, &req)?;
         assert_eq!(sorted(&run.pairs), reference);
         row(label, run.pairs.len(), &run.stats);
     }
@@ -120,10 +122,10 @@ fn main() {
     let mut p = pool();
     let r = StoredRelation::build(&mut p, &r_tuples, RECORD, Layout::Clustered);
     let s = StoredRelation::build(&mut p, &s_tuples, RECORD, Layout::Clustered);
-    let (idx, build) = JoinIndex::build(&mut p, &r, &s, theta, 100);
+    let (idx, build) = JoinIndex::try_build(&mut p, &r, &s, theta, 100)?;
     p.clear();
     p.reset_stats();
-    let run = idx.join(&mut p, &r, &s);
+    let run = idx.try_join(&mut p, &r, &s, &mut TraceSink::Null)?;
     assert_eq!(sorted(&run.pairs), reference);
     row("III join index (query)", run.pairs.len(), &run.stats);
     println!(
@@ -138,7 +140,7 @@ fn main() {
     p.clear();
     p.reset_stats();
     let grid = ZGrid::new(world, 7);
-    let run = zorder_overlap_join(&mut p, &r, &s, &grid, theta);
+    let run = try_zorder_overlap_join(&mut p, &r, &s, &grid, &req)?;
     assert_eq!(sorted(&run.pairs), reference);
     row("    z-order sort-merge", run.pairs.len(), &run.stats);
 
@@ -148,7 +150,7 @@ fn main() {
     let s = StoredRelation::build(&mut p, &s_tuples, RECORD, Layout::Clustered);
     p.clear();
     p.reset_stats();
-    let run = grid_join(
+    let run = try_grid_join(
         &mut p,
         &r,
         &s,
@@ -157,12 +159,13 @@ fn main() {
             nx: 32,
             ny: 32,
         },
-        theta,
-    );
+        &req,
+    )?;
     assert_eq!(sorted(&run.pairs), reference);
     row("    grid file", run.pairs.len(), &run.stats);
 
     println!("\nall strategies returned identical result sets ✓");
+    Ok(())
 }
 
 fn sorted(pairs: &[(u64, u64)]) -> Vec<(u64, u64)> {

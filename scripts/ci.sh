@@ -447,15 +447,16 @@ if [ "$markers" -ne 2 ]; then
 fi
 echo "    -> mask-kernel region is allocation-free"
 
-echo "==> fail-stop grep gate (no unchecked panics in storage/service)"
-# The storage and service crates promise typed StorageError propagation.
-# Non-test code there may not grow new unwrap()/expect(/panic! calls;
-# deliberate infallible wrappers carry a same-line "PANIC-OK" marker,
+echo "==> fail-stop grep gate (no unchecked panics in storage/service/joins)"
+# The storage, service, and join-executor crates promise typed
+# StorageError propagation. Non-test code there may not grow new
+# unwrap()/expect(/panic! calls; deliberate infallible wrappers and
+# logic-error panics carry a same-line "PANIC-OK" marker,
 # and everything from the top-level #[cfg(test)] (the tests module) to
 # EOF is test code. Indented cfg(test) attributes (test-only fields and
 # hooks) do not end the scan.
 violations=$(
-    for f in crates/storage/src/*.rs crates/service/src/*.rs; do
+    for f in crates/storage/src/*.rs crates/service/src/*.rs crates/joins/src/*.rs; do
         awk '/^#\[cfg\(test\)\]/ { exit }
              /PANIC-OK/ { next }
              /\.unwrap\(\)|\.expect\(|panic!/ { print FILENAME ":" FNR ": " $0 }' "$f"
@@ -466,6 +467,6 @@ if [ -n "$violations" ]; then
     echo "$violations"
     exit 1
 fi
-echo "    -> storage + service non-test code is panic-clean"
+echo "    -> storage + service + joins non-test code is panic-clean"
 
 echo "CI OK"

@@ -212,8 +212,9 @@ fn polyline_workloads_join_consistently() {
     use spatial_joins::core::workload::{generate, GeometryKind, Placement, WorkloadSpec};
     use spatial_joins::core::{BufferPool, Disk, DiskConfig, Rect, StoredRelation, TreeRelation};
     use spatial_joins::gentree::rtree::{RTree, RTreeConfig};
-    use spatial_joins::joins::nested_loop::nested_loop_join;
-    use spatial_joins::joins::tree_join::tree_join;
+    use spatial_joins::joins::nested_loop::try_nested_loop_join;
+    use spatial_joins::joins::tree_join::try_tree_join;
+    use spatial_joins::joins::JoinRequest;
 
     let world = Rect::from_bounds(0.0, 0.0, 500.0, 500.0);
     let roads = generate(
@@ -251,8 +252,8 @@ fn polyline_workloads_join_consistently() {
         300,
         spatial_joins::storage::Layout::Clustered,
     );
-    let theta = ThetaOp::WithinDistance(3.0);
-    let mut reference = nested_loop_join(&mut pool, &r, &s, theta).pairs;
+    let req = JoinRequest::new(ThetaOp::WithinDistance(3.0));
+    let mut reference = try_nested_loop_join(&mut pool, &r, &s, &req).unwrap().pairs;
     reference.sort_unstable();
     assert!(!reference.is_empty(), "roads should pass near zones");
 
@@ -272,7 +273,7 @@ fn polyline_workloads_join_consistently() {
         300,
         spatial_joins::storage::Layout::Clustered,
     );
-    let mut got = tree_join(&mut pool, &tr, &ts, theta).pairs;
+    let mut got = try_tree_join(&mut pool, &tr, &ts, &req).unwrap().pairs;
     got.sort_unstable();
     assert_eq!(got, reference);
 }
